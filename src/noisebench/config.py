@@ -91,7 +91,7 @@ CONFIG_SCHEMA = {
         "train": {
             "type": "object",
             "properties": {
-                "batch_size": {"type": "integer", "minimum": 1},
+                "batch_size": {"type": "integer"},  # TrainConfig checks the range
                 "initial_lr": {"type": "number", "exclusiveMinimum": 0},
                 "plateau_window": {"type": "integer", "minimum": 1},
                 "patience": {"type": "integer", "minimum": 1},
@@ -180,7 +180,10 @@ def parse_config(raw: dict, base_dir: str | Path = ".") -> ExperimentConfig:
     n_runs = train_raw.pop("n_runs", 7)
     if "channels" in train_raw:
         train_raw["channels"] = tuple(train_raw["channels"])
-    train = TrainConfig(**train_raw, loss=losses[0])
+    try:
+        train = TrainConfig(**train_raw, loss=losses[0])
+    except ValueError as exc:
+        raise ConfigError(f"config invalid at train: {exc}") from exc
 
     return ExperimentConfig(
         dataset=dataset,

@@ -9,6 +9,7 @@ patches with the trailing remainder discarded.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import AudioClip
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 
 @dataclass(frozen=True)
@@ -116,12 +117,14 @@ def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=8)
 def mel_filterbank(cfg: FeatureConfig) -> np.ndarray:
     """Triangular mel filterbank, shape (n_mels, fft_size // 2 + 1).
 
     Filter centers are equally spaced on the mel scale between fmin and
     fmax; each filter rises linearly from its left edge to a peak of 1 at
-    its center and falls to zero at its right edge.
+    its center and falls to zero at its right edge. Built once per config
+    and shared, so the returned array is read-only.
     """
     edges_hz = mel_to_hz(np.linspace(mel_scale(cfg.fmin), mel_scale(cfg.fmax), cfg.n_mels + 2))
     bin_hz = np.fft.rfftfreq(cfg.fft_size, d=1.0 / cfg.sample_rate)
@@ -135,6 +138,7 @@ def mel_filterbank(cfg: FeatureConfig) -> np.ndarray:
             f"mel filter {empty[0]} has empty support; reduce n_mels or "
             "increase fft_size"
         )
+    weights.flags.writeable = False
     return weights
 
 
@@ -190,10 +194,13 @@ def save_feature_cache(path: str | Path, matrix: LogMelMatrix) -> None:
 def load_feature_cache(path: str | Path, clip_id: str | None = None) -> LogMelMatrix:
     path = Path(path)
     with path.open("rb") as fh:
-        n_mels, n_frames, frame_rate = _CACHE_HEADER.unpack(fh.read(_CACHE_HEADER.size))
+        header = fh.read(_CACHE_HEADER.size)
+        if len(header) != _CACHE_HEADER.size:
+            raise DataError(f"{path}: truncated feature cache")
+        n_mels, n_frames, frame_rate = _CACHE_HEADER.unpack(header)
         values = np.frombuffer(fh.read(4 * n_mels * n_frames), dtype="<f4")
     if values.size != n_mels * n_frames:
-        raise ConfigError(f"{path}: truncated feature cache")
+        raise DataError(f"{path}: truncated feature cache")
     return LogMelMatrix(
         values.reshape(n_mels, n_frames).copy(),
         clip_id if clip_id is not None else path.stem,

@@ -1,10 +1,15 @@
 """Minimal CNN layer toolkit with analytic forward/backward passes.
 
-Layers operate on numpy arrays shaped (batch, channels, height, width) up to
-the dense stage, all in the dtype the network was built with (float32 for
-training; gradient tests build float64 networks). Each layer caches what its
-backward pass needs; backward returns the input gradient and accumulates
-parameter gradients in place.
+Layers up to the dense stage operate on channels-last numpy arrays shaped
+(batch, height, width, channels), all in the dtype the network was built
+with (float32 for training; gradient tests build float64 networks).
+``Network.forward`` and ``Network.backward`` keep the (batch, channels,
+height, width) interface and hand the layers the channels-last view, a free
+reshape for single-channel log-mel patches. Parameters keep a layout-free
+shape: conv weights are (out, in, kh, kw) and ``Dense`` flattens its input
+in (channels, height, width) order, so checkpoints do not depend on the
+activation layout. Each layer caches what its backward pass needs; backward
+returns the input gradient and accumulates parameter gradients in place.
 """
 
 from __future__ import annotations
@@ -57,17 +62,18 @@ class Layer:
         return cache
 
 
-def _im2col(x_pad: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Columns of every kernel window: (B * Ho * Wo, C * kh * kw)."""
-    view = sliding_window_view(x_pad, (kh, kw), axis=(2, 3))
-    b, c, ho, wo = view.shape[:4]
-    cols = np.ascontiguousarray(view.transpose(0, 2, 3, 1, 4, 5))
-    return cols.reshape(b * ho * wo, c * kh * kw), (b, ho, wo)
+def _im2col(x_pad: np.ndarray, kh: int, kw: int) -> tuple[np.ndarray, tuple[int, int, int]]:
+    """Columns of every kernel window of an NHWC array: (B * Ho * Wo, kh * kw * C),
+    channels fastest so each copied run is contiguous in the input."""
+    view = sliding_window_view(x_pad, (kh, kw), axis=(1, 2))  # (B, Ho, Wo, C, kh, kw)
+    b, ho, wo, c = view.shape[:4]
+    return view.transpose(0, 1, 2, 4, 5, 3).reshape(b * ho * wo, kh * kw * c), (b, ho, wo)
 
 
 class Conv2d(Layer):
     """Stride-1 cross-correlation with zero 'same' or 'valid' padding,
-    computed as one im2col matrix product per call."""
+    computed as one im2col matrix product per call. Weights are stored
+    (out, in, kh, kw) whatever the activation layout."""
 
     kind = "conv2d"
 
@@ -89,40 +95,39 @@ class Conv2d(Layer):
         self._cache = None
 
     def forward(self, x, train):
-        if x.ndim != 4 or x.shape[1] != self.weight.value.shape[1]:
+        w = self.weight.value
+        if x.ndim != 4 or x.shape[3] != w.shape[1]:
             raise ValueError(
                 f"{self.weight.name}: input shape {x.shape} incompatible with "
-                f"weight shape {self.weight.value.shape}"
+                f"weight shape {w.shape}"
             )
-        w = self.weight.value
         p = self.pad
-        x_pad = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+        x_pad = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0))) if p else x
         cols, (b, ho, wo) = _im2col(x_pad, w.shape[2], w.shape[3])
         if train:
             self._cache = (cols, x_pad.shape)
-        out = cols @ w.reshape(w.shape[0], -1).T + self.bias.value
-        return np.ascontiguousarray(out.reshape(b, ho, wo, -1).transpose(0, 3, 1, 2))
+        out = cols @ w.transpose(2, 3, 1, 0).reshape(-1, w.shape[0])
+        out += self.bias.value
+        return out.reshape(b, ho, wo, -1)
 
     def backward(self, grad):
         cols, pad_shape = self._require_cache(self._cache)
         w = self.weight.value
         f, c, kh, kw = w.shape
-        b, _, ho, wo = grad.shape
-        g_mat = grad.transpose(0, 2, 3, 1).reshape(b * ho * wo, f)
-        self.weight.grad += (g_mat.T @ cols).reshape(w.shape)
+        b, ho, wo, _ = grad.shape
+        g_mat = grad.reshape(b * ho * wo, f)
+        self.weight.grad += (cols.T @ g_mat).reshape(kh, kw, c, f).transpose(3, 2, 0, 1)
         self.bias.grad += g_mat.sum(axis=0)
-        # Scatter the window gradients back: one shifted slice-add per kernel
-        # offset, accumulated channels-last so reads and writes stay local.
-        w_cols = w.transpose(2, 3, 1, 0).reshape(kh * kw * c, f)
-        dcols = (g_mat @ w_cols.T).reshape(b, ho, wo, kh, kw, c)
-        dx_hwc = np.zeros((pad_shape[0], pad_shape[2], pad_shape[3], c), dtype=grad.dtype)
+        self._cache = cols = None  # free the column matrix before dx is built
+        # Input gradient, one kernel offset at a time: a (B*Ho*Wo, C) product
+        # added into its shifted window. No (B*Ho*Wo, kh*kw*C) matrix is made,
+        # and each add runs over contiguous channels-last rows.
+        dx = np.zeros(pad_shape, dtype=grad.dtype)
         for i in range(kh):
             for j in range(kw):
-                dx_hwc[:, i : i + ho, j : j + wo, :] += dcols[:, :, :, i, j, :]
+                dx[:, i : i + ho, j : j + wo, :] += (g_mat @ w[:, :, i, j]).reshape(b, ho, wo, c)
         p = self.pad
-        if p:
-            dx_hwc = dx_hwc[:, p : pad_shape[2] - p, p : pad_shape[3] - p, :]
-        return np.ascontiguousarray(dx_hwc.transpose(0, 3, 1, 2))
+        return dx[:, p : pad_shape[1] - p, p : pad_shape[2] - p, :] if p else dx
 
     def params(self):
         return [self.weight, self.bias]
@@ -131,6 +136,13 @@ class Conv2d(Layer):
         f, c, k, _ = self.weight.value.shape
         return {"kind": self.kind, "in_channels": c, "out_channels": f,
                 "kernel_size": k, "padding": self.padding}
+
+
+def _channel_mean(x: np.ndarray) -> np.ndarray:
+    """Per-channel mean of an NHWC array, accumulated in float64: summing
+    B * H * W float32 values row after row would lose digits that a
+    large batch needs."""
+    return x.mean(axis=(0, 1, 2), dtype=np.float64)
 
 
 class BatchNorm(Layer):
@@ -152,40 +164,37 @@ class BatchNorm(Layer):
         self._cache = None
 
     def forward(self, x, train):
-        if x.ndim != 4 or x.shape[1] != self.gamma.value.size:
+        if x.ndim != 4 or x.shape[3] != self.gamma.value.size:
             raise ValueError(
                 f"{self.gamma.name}: input shape {x.shape} incompatible with "
                 f"{self.gamma.value.size} channels"
             )
-        expand = (None, slice(None), None, None)
         if train:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
-            ivar = 1.0 / np.sqrt(var + self.eps)
-            xhat = (x - mean[expand]) * ivar[expand]
-            self._cache = (xhat, ivar, x.shape)
+            mean = _channel_mean(x)
+            centered = x - mean.astype(x.dtype)
+            var = _channel_mean(np.square(centered))
+            ivar = (1.0 / np.sqrt(var + self.eps)).astype(x.dtype)
+            xhat = centered * ivar
+            self._cache = (xhat, ivar)
             m = self.momentum
             self.running_mean = (m * self.running_mean + (1 - m) * mean).astype(x.dtype)
             self.running_var = (m * self.running_var + (1 - m) * var).astype(x.dtype)
         else:
             ivar = 1.0 / np.sqrt(self.running_var + self.eps)
-            xhat = (x - self.running_mean[expand]) * ivar[expand]
-        return self.gamma.value[expand] * xhat + self.beta.value[expand]
+            xhat = (x - self.running_mean) * ivar
+        return self.gamma.value * xhat + self.beta.value
 
     def backward(self, grad):
-        xhat, ivar, shape = self._require_cache(self._cache)
-        expand = (None, slice(None), None, None)
-        n = shape[0] * shape[2] * shape[3]
-        self.gamma.grad += (grad * xhat).sum(axis=(0, 2, 3))
-        self.beta.grad += grad.sum(axis=(0, 2, 3))
-        dxhat = grad * self.gamma.value[expand]
-        # Standard batch-norm input gradient through the batch moments.
-        dx = (
-            dxhat
-            - dxhat.mean(axis=(0, 2, 3))[expand]
-            - xhat * (dxhat * xhat).mean(axis=(0, 2, 3))[expand]
-        ) * ivar[expand]
-        return dx
+        xhat, ivar = self._require_cache(self._cache)
+        g_mean = _channel_mean(grad)
+        gx_mean = _channel_mean(grad * xhat)
+        n = grad.size // grad.shape[3]
+        self.gamma.grad += n * gx_mean
+        self.beta.grad += n * g_mean
+        # Standard batch-norm input gradient through the batch moments, with
+        # dxhat = gamma * grad folded into one per-channel scale.
+        dt = grad.dtype
+        return (grad - g_mean.astype(dt) - xhat * gx_mean.astype(dt)) * (self.gamma.value * ivar)
 
     def params(self):
         return [self.gamma, self.beta]
@@ -216,7 +225,8 @@ class ReLU(Layer):
 
 class MaxPool(Layer):
     """Non-overlapping max pooling; trailing rows/columns that do not fill a
-    window are dropped."""
+    window are dropped. The gradient of each window goes to its first
+    maximum in row-major window order."""
 
     kind = "maxpool"
 
@@ -226,30 +236,35 @@ class MaxPool(Layer):
 
     def forward(self, x, train):
         s = self.size
-        b, c, h, w = x.shape
+        b, h, w, c = x.shape
         ho, wo = h // s, w // s
         if ho < 1 or wo < 1:
             raise ValueError(f"maxpool: input {x.shape} smaller than window {s}")
-        windows = x[:, :, : ho * s, : wo * s].reshape(b, c, ho, s, wo, s)
-        windows = windows.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, ho, wo, s * s)
-        best = windows.argmax(axis=4)
+        windows = x[:, : ho * s, : wo * s].reshape(b, ho, s, wo, s, c)
+        offsets = [(i, j) for i in range(s) for j in range(s)]
+        out = windows[:, :, 0, :, 0].copy()
+        for i, j in offsets[1:]:
+            np.maximum(out, windows[:, :, i, :, j], out=out)
         if train:
-            self._cache = (best, x.shape)
-        return np.take_along_axis(windows, best[..., None], axis=4)[..., 0]
+            # Mark one element per window: the first that equals the maximum.
+            mask = np.empty(windows.shape, dtype=bool)
+            taken = np.zeros(out.shape, dtype=bool)
+            for i, j in offsets:
+                hit = mask[:, :, i, :, j]
+                np.equal(windows[:, :, i, :, j], out, out=hit)
+                hit &= ~taken
+                taken |= hit
+            self._cache = (mask, x.shape)
+        return out
 
     def backward(self, grad):
-        best, shape = self._require_cache(self._cache)
-        s = self.size
-        b, c, h, w = shape
-        ho, wo = h // s, w // s
-        flat = np.zeros((b, c, ho, wo, s * s), dtype=grad.dtype)
-        np.put_along_axis(flat, best[..., None], grad[..., None], axis=4)
+        mask, shape = self._require_cache(self._cache)
+        b, ho, s, wo, _, c = mask.shape
+        routed = (mask * grad[:, :, None, :, None, :]).reshape(b, ho * s, wo * s, c)
+        if routed.shape == shape:
+            return routed
         dx = np.zeros(shape, dtype=grad.dtype)
-        dx[:, :, : ho * s, : wo * s] = (
-            flat.reshape(b, c, ho, wo, s, s).transpose(0, 1, 2, 4, 3, 5).reshape(
-                b, c, ho * s, wo * s
-            )
-        )
+        dx[:, : ho * s, : wo * s] = routed
         return dx
 
     def config(self):
@@ -269,21 +284,24 @@ class Dense(Layer):
         self._cache = None
 
     def forward(self, x, train):
-        flat = x.reshape(x.shape[0], -1)
+        # Flatten in (C, H, W) order, as the weight rows have always been laid
+        # out, so checkpoints keep their meaning; a 2-D input passes through.
+        nchw = np.moveaxis(x, -1, 1)
+        flat = nchw.reshape(x.shape[0], -1)
         if flat.shape[1] != self.weight.value.shape[0]:
             raise ValueError(
                 f"{self.weight.name}: flattened input shape {flat.shape} incompatible "
                 f"with weight shape {self.weight.value.shape}"
             )
         if train:
-            self._cache = (flat, x.shape)
+            self._cache = (flat, nchw.shape)
         return flat @ self.weight.value + self.bias.value
 
     def backward(self, grad):
-        flat, shape = self._require_cache(self._cache)
+        flat, nchw_shape = self._require_cache(self._cache)
         self.weight.grad += flat.T @ grad
         self.bias.grad += grad.sum(axis=0)
-        return (grad @ self.weight.value.T).reshape(shape)
+        return np.moveaxis((grad @ self.weight.value.T).reshape(nchw_shape), 1, -1)
 
     def params(self):
         return [self.weight, self.bias]
@@ -316,12 +334,18 @@ _LAYER_KINDS = {cls.kind: cls for cls in (Conv2d, BatchNorm, ReLU, MaxPool, Dens
 
 
 class Network:
-    """An ordered layer stack with in-place parameter updates."""
+    """An ordered layer stack with in-place parameter updates.
+
+    Inputs and input gradients are (N, C, H, W); the layers run on the
+    channels-last view, which costs nothing for the single-channel log-mel
+    patches.
+    """
 
     def __init__(self, layers: list[Layer]):
         self.layers = layers
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        x = np.moveaxis(x, 1, -1)
         for layer in self.layers:
             x = layer.forward(x, train)
         return x
@@ -329,7 +353,7 @@ class Network:
     def backward(self, grad: np.ndarray) -> np.ndarray:
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
-        return grad
+        return np.moveaxis(grad, -1, 1)
 
     def params(self) -> list[Param]:
         return [p for layer in self.layers for p in layer.params()]
@@ -350,6 +374,20 @@ class Network:
             raise ValueError(f"state has {len(state)} arrays, network expects {len(arrays)}")
         for dst, src in zip(arrays, state):
             dst[...] = src
+
+
+def im2col_bytes(layers: list[Layer], height: int, width: int, itemsize: int) -> int:
+    """Size of the largest conv column matrix that one height x width sample
+    builds on its way through ``layers``."""
+    peak = 0
+    for layer in layers:
+        if isinstance(layer, Conv2d):
+            _, c, k, _ = layer.weight.value.shape
+            height, width = height + 2 * layer.pad - k + 1, width + 2 * layer.pad - k + 1
+            peak = max(peak, height * width * k * k * c * itemsize)
+        elif isinstance(layer, MaxPool):
+            height, width = height // layer.size, width // layer.size
+    return peak
 
 
 def build_baseline(

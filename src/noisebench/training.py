@@ -29,7 +29,7 @@ from .datasets import (
 )
 from .errors import DataError, NumericError
 from .features import FeatureConfig, LogMelMatrix, extract_logmel, patchify
-from .layers import Network, build_baseline
+from .layers import Network, build_baseline, im2col_bytes
 from .losses import LossConfig, one_hot, selective_batch_loss
 from .optim import Adam, plateau_lr, should_stop
 
@@ -49,8 +49,11 @@ class TrainConfig:
     kernel_size: int = 5
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        if self.batch_size < 2:
+            raise ValueError(
+                f"batch_size must be >= 2, got {self.batch_size}: batch normalization "
+                "needs two samples per batch"
+            )
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in (0, 1)")
         if self.max_epochs < 1:
@@ -69,7 +72,8 @@ class EpochStats:
 
 @dataclass
 class PatchSet:
-    """Patches stacked for training: x is (N, 1, n_mels, patch_frames)."""
+    """Patches stacked for training: x is (N, 1, n_mels, patch_frames), and
+    each clip's patches are contiguous, in clip order."""
 
     x: np.ndarray
     labels: np.ndarray        # (N,) int
@@ -79,11 +83,20 @@ class PatchSet:
     clip_labels: np.ndarray   # (n_clips,) int
     n_classes: int
 
+    def __post_init__(self):
+        if np.any(np.diff(self.clip_index) < 0):
+            raise ValueError("clip_index must be non-decreasing: one run of patches per clip")
+
     def __len__(self) -> int:
         return self.x.shape[0]
 
+    def clip_bounds(self) -> np.ndarray:
+        """Offsets (n_clips + 1,): clip i owns patches bounds[i]:bounds[i + 1]."""
+        return np.searchsorted(self.clip_index, np.arange(len(self.clip_ids) + 1))
+
     def patches_of_clip(self, index: int) -> np.ndarray:
-        return self.x[self.clip_index == index]
+        lo, hi = np.searchsorted(self.clip_index, [index, index + 1])
+        return self.x[lo:hi]
 
 
 def build_patchset(
@@ -164,29 +177,60 @@ def stratified_val_split(
     return train, val
 
 
-def predict_clip(network: Network, patches: np.ndarray) -> tuple[np.ndarray, int]:
-    """Clip-level probabilities and predicted class from one clip's patches.
+# Inference forwards take as many patches at once as keep the largest conv
+# column matrix under this size: bigger products gain nothing from BLAS but
+# spill the caches (64 paper-shape patches at once run slower per patch).
+_INFER_COLS_BYTES = 32_000_000
+
+
+def _infer(network, x: np.ndarray) -> np.ndarray:
+    """Softmax rows of every patch, forwarded in contiguous chunks. Any
+    object with a ``forward`` will do; without conv layers to size chunks
+    by, all patches go in one call."""
+    per_patch = im2col_bytes(getattr(network, "layers", ()), x.shape[2], x.shape[3],
+                             x.dtype.itemsize)
+    chunk = max(1, _INFER_COLS_BYTES // per_patch) if per_patch else len(x)
+    return np.concatenate([network.forward(x[i : i + chunk], train=False)
+                           for i in range(0, len(x), chunk)])
+
+
+def _clip_predictions(patch_probs: np.ndarray, bounds: np.ndarray):
+    """Clip probabilities (n_clips, K) and predicted classes from the patch
+    probabilities of clips laid out as bounds[i]:bounds[i + 1].
 
     Per class, the geometric mean of the patch probabilities (offset by
     1e-12 under the log) is renormalized; ties go to the lowest class index.
     """
+    counts = np.diff(bounds)
+    if np.any(counts < 1):
+        raise ValueError(f"clip {int(np.argmin(counts))} has no patches")
+    log_p = np.log(patch_probs.astype(np.float64) + 1e-12)
+    log_mean = np.add.reduceat(log_p, bounds[:-1], axis=0) / counts[:, None]
+    g = np.exp(log_mean)
+    probs = g / g.sum(axis=1, keepdims=True)
+    return probs, probs.argmax(axis=1)
+
+
+def predict_clip(network: Network, patches: np.ndarray) -> tuple[np.ndarray, int]:
+    """Clip-level probabilities and predicted class from one clip's patches."""
     if patches.ndim != 4 or patches.shape[0] == 0:
         raise ValueError("patches must be a non-empty (P, 1, n_mels, n_frames) array")
-    patch_probs = network.forward(patches, train=False)
-    log_mean = np.log(patch_probs.astype(np.float64) + 1e-12).mean(axis=0)
-    g = np.exp(log_mean)
-    probs = g / g.sum()
-    return probs, int(np.argmax(probs))
+    probs, preds = _clip_predictions(_infer(network, patches), np.array([0, len(patches)]))
+    return probs[0], int(preds[0])
+
+
+def predict_clips(network: Network, patchset: PatchSet) -> tuple[np.ndarray, np.ndarray]:
+    """predict_clip for every clip of the set, from one chunked pass over
+    its patches: probabilities (n_clips, K) and predicted classes."""
+    if not patchset.clip_ids:
+        raise ValueError("patch set contains no clips")
+    return _clip_predictions(_infer(network, patchset.x), patchset.clip_bounds())
 
 
 def clip_accuracy(network: Network, patchset: PatchSet) -> float:
-    if not patchset.clip_ids:
-        raise ValueError("patch set contains no clips")
-    correct = 0
-    for i, label in enumerate(patchset.clip_labels):
-        _, pred = predict_clip(network, patchset.patches_of_clip(i))
-        correct += pred == label
-    return correct / len(patchset.clip_ids)
+    """Fraction of clips whose aggregated prediction matches the label."""
+    _, preds = predict_clips(network, patchset)
+    return int((preds == patchset.clip_labels).sum()) / len(patchset.clip_ids)
 
 
 def evaluate(network: Network, test_set: PatchSet) -> float:

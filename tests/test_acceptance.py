@@ -73,11 +73,11 @@ def _check_layer(make_layer, x_shape, seed, tol):
 def test_criterion_1_gradient_suite():
     start = time.monotonic()
     layer_makers = {
-        "conv2d": (lambda rng: Conv2d(2, 3, 3, "same", rng, np.float64), (2, 2, 5, 6)),
-        "batchnorm": (lambda rng: BatchNorm(3, dtype=np.float64), (6, 3, 3, 4)),
-        "relu": (lambda rng: ReLU(), (3, 2, 4, 4)),
-        "maxpool": (lambda rng: MaxPool(2), (2, 2, 6, 6)),
-        "dense": (lambda rng: Dense(12, 4, rng, np.float64), (3, 1, 3, 4)),
+        "conv2d": (lambda rng: Conv2d(2, 3, 3, "same", rng, np.float64), (2, 5, 6, 2)),
+        "batchnorm": (lambda rng: BatchNorm(3, dtype=np.float64), (6, 3, 4, 3)),
+        "relu": (lambda rng: ReLU(), (3, 4, 4, 2)),
+        "maxpool": (lambda rng: MaxPool(2), (2, 6, 6, 2)),
+        "dense": (lambda rng: Dense(12, 4, rng, np.float64), (3, 3, 4, 1)),
         "softmax": (lambda rng: Softmax(), (4, 5)),
     }
     failures = []

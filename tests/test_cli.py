@@ -79,6 +79,14 @@ class TestParsing:
         cells = experiment_cells(subsets, losses)
         assert len(cells) == 28
 
+    def test_batch_size_one_is_a_config_error(self, tmp_path, capsys):
+        path, cfg = base_config(tmp_path)
+        cfg["train"]["batch_size"] = 1
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 1
+        assert "batch_size must be >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_round_trip_of_defaults(self, tmp_path):
         path, _ = base_config(tmp_path)
         cfg = load_config(path)
@@ -176,6 +184,19 @@ class TestFeatures:
             n_samples = fh.getnframes()
         cached = load_feature_cache(path.parent / "cache" / (wav.stem + ".lmf"))
         assert cached.n_frames == -(-n_samples // cfg["features"]["hop"])
+
+    def test_truncated_cache_file_is_a_data_error(self, tmp_path, capsys):
+        path, cfg = base_config(tmp_path)
+        cfg["features"]["cache_dir"] = str(tmp_path / "cache")
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["features", "--config", str(path)]) == 0
+        victim = sorted((tmp_path / "cache").glob("*.lmf"))[2]
+        victim.write_bytes(victim.read_bytes()[:-4])
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert victim.name in err and "truncated" in err
+        victim.write_bytes(victim.read_bytes()[:5])  # inside the header
+        assert main(["run", "--config", str(path)]) == 2
 
 
 class TestInjectNoise:

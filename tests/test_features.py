@@ -108,6 +108,14 @@ class TestMelFilterbank:
         inside = (bin_hz > edges[1]) & (bin_hz < edges[-2])
         assert np.all(fb.sum(axis=0)[inside] > 0.0)
 
+    def test_built_once_per_config_and_read_only(self):
+        fb = mel_filterbank(CFG)
+        assert mel_filterbank(FeatureConfig(sample_rate=8000, fft_size=512, hop=256,
+                                            n_mels=32)) is fb
+        assert not fb.flags.writeable
+        with pytest.raises(ValueError):
+            fb[0, 0] = 1.0
+
     def test_too_many_filters_for_the_fft(self):
         with pytest.raises(ConfigError, match="support"):
             mel_filterbank(FeatureConfig(sample_rate=8000, fft_size=64, hop=32, n_mels=96))
@@ -137,6 +145,15 @@ class TestExtractLogmel:
         np.testing.assert_allclose(
             b.values[above] - a.values[above], 2.0 * np.log(10.0), rtol=1e-9
         )
+
+    def test_shared_filterbank_gives_the_same_bits(self):
+        # The memoised filterbank must not change extraction by one bit:
+        # compare with a filterbank built afresh for this call.
+        x = np.random.default_rng(3).uniform(-0.5, 0.5, 7000)
+        fresh = mel_filterbank.__wrapped__(CFG)
+        expected = np.log(np.maximum(fresh @ stft_power(clip_of(x), CFG), CFG.log_floor))
+        for _ in range(2):
+            np.testing.assert_array_equal(extract_logmel(clip_of(x), CFG).values, expected)
 
     def test_purity(self):
         x = np.random.default_rng(2).uniform(-0.5, 0.5, 5000)

@@ -1,8 +1,12 @@
 """Layer forward semantics, analytic gradients, and the baseline network.
 
-Every backward pass is checked against central finite differences in
-float64; the scalar probe is sum(forward(x) * r) for a fixed random r.
+Layers take channels-last (N, H, W, C) inputs; the network takes
+(N, 1, H, W). Every backward pass is checked against central finite
+differences in float64; the scalar probe is sum(forward(x) * r) for a fixed
+random r.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from noisebench.layers import BatchNorm, Conv2d, Dense, MaxPool, ReLU, Softmax
 from conftest import finite_difference, relative_error
 
 GRAD_TOL = 1e-4
+DATA = Path(__file__).parent / "data"
 
 
 def layer_gradcheck(make_layer, x_shape, seed, train=True):
@@ -49,7 +54,7 @@ class TestReLU:
 
     def test_gradcheck(self):
         for seed in range(5):
-            layer_gradcheck(lambda rng: ReLU(), (3, 2, 4, 5), seed)
+            layer_gradcheck(lambda rng: ReLU(), (3, 4, 5, 2), seed)
 
     def test_backward_without_forward(self):
         with pytest.raises(RuntimeError):
@@ -61,20 +66,20 @@ class TestConv2d:
         layer = Conv2d(1, 1, 1, "same", dtype=np.float64)
         layer.weight.value[...] = 1.0
         layer.bias.value[...] = 0.0
-        x = np.random.default_rng(0).standard_normal((2, 1, 5, 7))
+        x = np.random.default_rng(0).standard_normal((2, 5, 7, 1))
         np.testing.assert_allclose(layer.forward(x, train=False), x)
 
     def test_shape_mismatch_reports_shapes(self):
         layer = Conv2d(3, 4, 3)
-        with pytest.raises(ValueError, match=r"\(2, 1, 5, 5\)"):
-            layer.forward(np.zeros((2, 1, 5, 5), dtype=np.float32), train=False)
+        with pytest.raises(ValueError, match=r"\(2, 5, 5, 1\)"):
+            layer.forward(np.zeros((2, 5, 5, 1), dtype=np.float32), train=False)
 
     @pytest.mark.parametrize("padding", ["same", "valid"])
     def test_gradcheck(self, padding):
         for seed in range(5):
             layer_gradcheck(
                 lambda rng: Conv2d(2, 3, 3, padding, rng, np.float64),
-                (2, 2, 6, 7),
+                (2, 6, 7, 2),
                 seed,
             )
 
@@ -85,19 +90,29 @@ class TestBatchNorm:
         # should be normalized to zero mean and unit variance.
         rng = np.random.default_rng(3)
         layer = BatchNorm(4, dtype=np.float64)
-        x = 2.0 + 3.0 * rng.standard_normal((64, 4, 5, 6))
+        x = 2.0 + 3.0 * rng.standard_normal((64, 5, 6, 4))
         out = layer.forward(x, train=True)
-        mean = out.mean(axis=(0, 2, 3))
-        var = out.var(axis=(0, 2, 3))
+        mean = out.mean(axis=(0, 1, 2))
+        var = out.var(axis=(0, 1, 2))
         assert np.abs(mean).max() < 1e-6
         assert np.abs(var - 1.0).max() < 1e-4
+
+    def test_float32_batch_mean_of_a_paper_sized_batch(self):
+        # 132k values per channel, as at the second paper-shape stage: the
+        # normalized output must still have zero mean to float32 precision,
+        # which row-by-row float32 sums (an error near 2e-5) would miss.
+        rng = np.random.default_rng(3)
+        x = (5.0 + rng.standard_normal((64, 48, 43, 4))).astype(np.float32)
+        out = BatchNorm(4).forward(x, train=True)
+        assert out.dtype == np.float32
+        assert np.abs(out.astype(np.float64).mean(axis=(0, 1, 2))).max() < 1e-6
 
     def test_inference_uses_running_stats_and_is_batch_size_independent(self):
         rng = np.random.default_rng(4)
         layer = BatchNorm(3, dtype=np.float64)
         for _ in range(20):
-            layer.forward(rng.standard_normal((16, 3, 4, 4)), train=True)
-        x = rng.standard_normal((8, 3, 4, 4))
+            layer.forward(rng.standard_normal((16, 4, 4, 3)), train=True)
+        x = rng.standard_normal((8, 4, 4, 3))
         full = layer.forward(x, train=False)
         split = np.concatenate(
             [layer.forward(x[i : i + 1], train=False) for i in range(8)]
@@ -107,27 +122,40 @@ class TestBatchNorm:
     def test_gradcheck(self):
         for seed in range(5):
             layer_gradcheck(
-                lambda rng: BatchNorm(3, dtype=np.float64), (8, 3, 4, 5), seed
+                lambda rng: BatchNorm(3, dtype=np.float64), (8, 4, 5, 3), seed
             )
 
 
 class TestMaxPool:
     def test_window_max_and_floor_crop(self):
-        x = np.arange(2 * 1 * 5 * 5, dtype=np.float64).reshape(2, 1, 5, 5)
+        x = np.arange(2 * 1 * 5 * 5, dtype=np.float64).reshape(2, 5, 5, 1)
         out = MaxPool(2).forward(x, train=False)
-        assert out.shape == (2, 1, 2, 2)
-        assert out[0, 0, 0, 0] == x[0, 0, 1, 1]
+        assert out.shape == (2, 2, 2, 1)
+        assert out[0, 0, 0, 0] == x[0, 1, 1, 0]
 
     def test_gradcheck(self):
         for seed in range(5):
-            layer_gradcheck(lambda rng: MaxPool(2), (2, 3, 6, 8), seed)
+            layer_gradcheck(lambda rng: MaxPool(2), (2, 6, 8, 3), seed)
+
+    def test_ties_route_to_first_element_in_window_order(self):
+        # On a constant input every element of every window is a maximum;
+        # each window must send its whole upstream gradient to exactly one
+        # element, the first in row-major window order (top-left).
+        layer = MaxPool(2)
+        x = np.full((2, 5, 7, 3), 1.5)
+        layer.forward(x, train=True)
+        upstream = np.random.default_rng(8).standard_normal((2, 2, 3, 3))
+        dx = layer.backward(upstream)
+        expected = np.zeros_like(x)
+        expected[:, 0:4:2, 0:6:2, :] = upstream
+        np.testing.assert_array_equal(dx, expected)
 
 
 class TestDense:
     def test_gradcheck(self):
         for seed in range(5):
             layer_gradcheck(
-                lambda rng: Dense(24, 5, rng, np.float64), (3, 2, 3, 4), seed
+                lambda rng: Dense(24, 5, rng, np.float64), (3, 3, 4, 2), seed
             )
 
 
@@ -206,6 +234,17 @@ class TestCheckpoint:
         assert meta == {"epoch": 3}
         np.testing.assert_array_equal(arrays["standardizer_mean"], extra["standardizer_mean"])
         np.testing.assert_array_equal(restored.forward(x, train=False), before)
+
+    def test_checkpoint_from_the_nchw_layers_predicts_the_same(self):
+        # Written before the layers went channels-last: build_baseline(16, 12,
+        # 4, channels=(3, 4, 5), seed=9) with rescaled weights and moved
+        # running stats, saved with an input and the float32 probabilities
+        # that code predicted for it as extra arrays.
+        net, meta, extra = load_checkpoint(DATA / "nchw_checkpoint.nbc")
+        assert meta == {"written_by": "NCHW layers"}
+        probs = net.forward(extra["input"], train=False)
+        np.testing.assert_allclose(probs, extra["probs"], rtol=0, atol=1e-6)
+        np.testing.assert_array_equal(probs.argmax(axis=1), extra["probs"].argmax(axis=1))
 
     def test_rejects_non_checkpoint(self, tmp_path):
         bogus = tmp_path / "x.nbc"

@@ -18,13 +18,17 @@ from noisebench import (
     stratified_val_split,
     train,
 )
+from noisebench import training
 from noisebench.datasets import LabelRecord, Split
 from noisebench.errors import DataError
+from noisebench.layers import im2col_bytes
 from noisebench.training import (
     EpochStats,
     PatchSet,
     Standardizer,
+    clip_accuracy,
     confidence_halfwidth,
+    predict_clips,
     read_report_csv,
     write_history_csv,
     write_report_csv,
@@ -181,6 +185,51 @@ class TestEvaluate:
         assert acc == pytest.approx(2.0 / 3.0)
 
 
+class TestBatchedClipEvaluation:
+    def test_matches_a_per_clip_loop(self, monkeypatch):
+        # Uneven clips of 1-7 patches through a real float64 network, with
+        # inference chunks of 3 patches so chunk boundaries fall inside clips.
+        rng = np.random.default_rng(12)
+        counts = rng.permutation([1, 2, 3, 4, 5, 6, 7, 3, 1, 5])
+        bounds = np.concatenate([[0], np.cumsum(counts)])
+        assert set(range(3, bounds[-1], 3)) - set(bounds)
+        clip_labels = rng.integers(0, 3, counts.size)
+        clip_index = np.repeat(np.arange(counts.size), counts)
+        ps = PatchSet(
+            x=rng.standard_normal((clip_index.size, 1, 8, 8)),
+            labels=clip_labels[clip_index],
+            origins=np.full(clip_index.size, Origin.CLEAN, dtype=object),
+            clip_index=clip_index,
+            clip_ids=[f"c{i}" for i in range(counts.size)],
+            clip_labels=clip_labels,
+            n_classes=3,
+        )
+        net = build_baseline(8, 8, 3, channels=(2, 3, 4), seed=4, dtype=np.float64)
+        monkeypatch.setattr(training, "_INFER_COLS_BYTES",
+                            3 * im2col_bytes(net.layers, 8, 8, 8))
+
+        probs, preds = predict_clips(net, ps)
+        for i in range(counts.size):
+            p_i, pred_i = predict_clip(net, ps.patches_of_clip(i))
+            assert np.abs(probs[i] - p_i).max() < 1e-12
+            assert preds[i] == pred_i
+        assert clip_accuracy(net, ps) == np.mean(preds == clip_labels)
+
+    def test_clip_without_patches_rejected(self):
+        ps = patchset_from_rows(3, [0, 1, 1], 2)
+        ps.clip_ids.append("empty")
+        ps.clip_labels = np.append(ps.clip_labels, 0)
+        with pytest.raises(ValueError, match="no patches"):
+            clip_accuracy(FakeNetwork([[0.9, 0.1], [0.2, 0.8], [0.7, 0.3]]), ps)
+
+    def test_patches_of_a_clip_must_be_contiguous(self):
+        with pytest.raises(ValueError, match="clip_index"):
+            PatchSet(x=index_patches(3), labels=np.zeros(3, dtype=int),
+                     origins=np.full(3, Origin.CLEAN, dtype=object),
+                     clip_index=np.array([0, 1, 0]), clip_ids=["a", "b"],
+                     clip_labels=np.zeros(2, dtype=int), n_classes=2)
+
+
 def separable_patchset(n_per_class=12, seed=0):
     """Two classes distinguished by which half of the patch carries energy."""
     rng = np.random.default_rng(seed)
@@ -207,6 +256,13 @@ def separable_patchset(n_per_class=12, seed=0):
 
 
 class TestTrain:
+    def test_batch_size_below_two_rejected(self):
+        # A batch of one has no batch statistics; train() would skip every
+        # batch and report a nan loss.
+        with pytest.raises(ValueError, match="batch_size must be >= 2"):
+            TrainConfig(batch_size=1)
+        TrainConfig(batch_size=2)
+
     def test_zero_learning_rate_is_a_no_op(self):
         data = separable_patchset()
         net = build_baseline(8, 10, 2, channels=(2, 3, 4), seed=1)
