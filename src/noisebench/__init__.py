@@ -36,7 +36,6 @@ from .optim import Adam, plateau_lr, should_stop
 from .training import (
     RunReport,
     TrainConfig,
-    evaluate,
     predict_clip,
     run_experiment,
     run_single,

@@ -62,17 +62,35 @@ class Layer:
         return cache
 
 
-def _im2col(x_pad: np.ndarray, kh: int, kw: int) -> tuple[np.ndarray, tuple[int, int, int]]:
-    """Columns of every kernel window of an NHWC array: (B * Ho * Wo, kh * kw * C),
-    channels fastest so each copied run is contiguous in the input."""
-    view = sliding_window_view(x_pad, (kh, kw), axis=(1, 2))  # (B, Ho, Wo, C, kh, kw)
-    b, ho, wo, c = view.shape[:4]
-    return view.transpose(0, 1, 2, 4, 5, 3).reshape(b * ho * wo, kh * kw * c), (b, ho, wo)
+# Conv column matrices are built one batch slice at a time, with as many
+# samples per slice as keep the matrix under this many bytes, so a training
+# step holds at most one slice of columns instead of the whole batch's.
+# Inference forwards are chunked by the same budget, so each chunk is one
+# slice. On 2 cores, 8, 16 and 32 MB ran paper-shape train steps and clip
+# evaluation at the same speed within noise, and whole-batch products ran
+# slower per patch; 16 MB still takes each desk-shape evaluation set at once.
+COLS_BYTES = 16_000_000
+
+
+def samples_per_slice(sample_bytes: int, batch: int) -> int:
+    """Samples whose columns fit in COLS_BYTES together, at least one; the
+    whole batch when a sample builds no columns."""
+    return max(1, COLS_BYTES // sample_bytes) if sample_bytes else batch
+
+
+def _windows(x_pad: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Every kernel window of an NHWC array as a (B, Ho, Wo, kh, kw, C) view:
+    copied out, the rows are im2col columns with channels fastest, so each
+    copied run is contiguous in the input."""
+    return sliding_window_view(x_pad, (kh, kw), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
 
 
 class Conv2d(Layer):
     """Stride-1 cross-correlation with zero 'same' or 'valid' padding,
-    computed as one im2col matrix product per call. Weights are stored
+    computed as im2col matrix products over batch slices of at most
+    COLS_BYTES of columns (see ``samples_per_slice``). Training caches the
+    padded input; when the batch is one slice its columns are kept too,
+    otherwise backward rebuilds each slice's. Weights are stored
     (out, in, kh, kw) whatever the activation layout."""
 
     kind = "conv2d"
@@ -94,6 +112,15 @@ class Conv2d(Layer):
                           np.zeros(out_channels, dtype))
         self._cache = None
 
+    def _slices(self, x_pad):
+        """The window view of x_pad, an empty column buffer for one slice, and
+        the (start, stop) batch ranges of the slices."""
+        windows = _windows(x_pad, *self.weight.value.shape[2:])
+        b, ho, wo, kh, kw, c = windows.shape
+        n = samples_per_slice(ho * wo * kh * kw * c * x_pad.itemsize, b)
+        cols = np.empty((min(n, b) * ho * wo, kh * kw * c), dtype=x_pad.dtype)
+        return windows, cols, [(s, min(s + n, b)) for s in range(0, b, n)]
+
     def forward(self, x, train):
         w = self.weight.value
         if x.ndim != 4 or x.shape[3] != w.shape[1]:
@@ -103,31 +130,43 @@ class Conv2d(Layer):
             )
         p = self.pad
         x_pad = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0))) if p else x
-        cols, (b, ho, wo) = _im2col(x_pad, w.shape[2], w.shape[3])
-        if train:
-            self._cache = (cols, x_pad.shape)
-        out = cols @ w.transpose(2, 3, 1, 0).reshape(-1, w.shape[0])
+        windows, cols, slices = self._slices(x_pad)
+        b, ho, wo = windows.shape[:3]
+        w_mat = w.transpose(2, 3, 1, 0).reshape(-1, w.shape[0])
+        out = np.empty((b * ho * wo, w.shape[0]), dtype=np.result_type(x_pad, w))
+        for s, e in slices:
+            rows = cols[: (e - s) * ho * wo]
+            np.copyto(rows.reshape(windows[s:e].shape), windows[s:e])
+            np.matmul(rows, w_mat, out=out[s * ho * wo : e * ho * wo])
         out += self.bias.value
+        if train:
+            self._cache = (x_pad, cols if len(slices) == 1 else None)
         return out.reshape(b, ho, wo, -1)
 
     def backward(self, grad):
-        cols, pad_shape = self._require_cache(self._cache)
+        x_pad, kept = self._require_cache(self._cache)
+        self._cache = None
         w = self.weight.value
         f, c, kh, kw = w.shape
         b, ho, wo, _ = grad.shape
         g_mat = grad.reshape(b * ho * wo, f)
-        self.weight.grad += (cols.T @ g_mat).reshape(kh, kw, c, f).transpose(3, 2, 0, 1)
+        windows, cols, slices = self._slices(x_pad) if kept is None else (None, kept, [(0, b)])
+        dx = np.zeros(x_pad.shape, dtype=grad.dtype)
+        for s, e in slices:
+            rows, g = cols[: (e - s) * ho * wo], g_mat[s * ho * wo : e * ho * wo]
+            if kept is None:
+                np.copyto(rows.reshape(windows[s:e].shape), windows[s:e])
+            self.weight.grad += (rows.T @ g).reshape(kh, kw, c, f).transpose(3, 2, 0, 1)
+            # Input gradient, one kernel offset at a time: a (rows, C) product
+            # added into its shifted window. No (rows, kh*kw*C) gradient matrix
+            # is made, and each add runs over contiguous channels-last rows.
+            for i in range(kh):
+                for j in range(kw):
+                    dx[s:e, i : i + ho, j : j + wo, :] += (
+                        (g @ w[:, :, i, j]).reshape(e - s, ho, wo, c))
         self.bias.grad += g_mat.sum(axis=0)
-        self._cache = cols = None  # free the column matrix before dx is built
-        # Input gradient, one kernel offset at a time: a (B*Ho*Wo, C) product
-        # added into its shifted window. No (B*Ho*Wo, kh*kw*C) matrix is made,
-        # and each add runs over contiguous channels-last rows.
-        dx = np.zeros(pad_shape, dtype=grad.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                dx[:, i : i + ho, j : j + wo, :] += (g_mat @ w[:, :, i, j]).reshape(b, ho, wo, c)
         p = self.pad
-        return dx[:, p : pad_shape[1] - p, p : pad_shape[2] - p, :] if p else dx
+        return dx[:, p : x_pad.shape[1] - p, p : x_pad.shape[2] - p, :] if p else dx
 
     def params(self):
         return [self.weight, self.bias]

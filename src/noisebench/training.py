@@ -12,7 +12,6 @@ Student-t 95% confidence interval.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -24,12 +23,13 @@ from .datasets import (
     DatasetManifest,
     LabelRecord,
     Subset,
+    _round_half_up,
     clip_durations,
     select_subset,
 )
 from .errors import DataError, NumericError
 from .features import FeatureConfig, LogMelMatrix, extract_logmel, patchify
-from .layers import Network, build_baseline, im2col_bytes
+from .layers import Network, build_baseline, im2col_bytes, samples_per_slice
 from .losses import LossConfig, one_hot, selective_batch_loss
 from .optim import Adam, plateau_lr, should_stop
 
@@ -151,10 +151,6 @@ class Standardizer:
         return (patches - self.mean[None, None, :, None]) / self.std[None, None, :, None]
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
 def stratified_val_split(
     records: list[LabelRecord], fraction: float, seed: int
 ) -> tuple[list[LabelRecord], list[LabelRecord]]:
@@ -177,19 +173,14 @@ def stratified_val_split(
     return train, val
 
 
-# Inference forwards take as many patches at once as keep the largest conv
-# column matrix under this size: bigger products gain nothing from BLAS but
-# spill the caches (64 paper-shape patches at once run slower per patch).
-_INFER_COLS_BYTES = 32_000_000
-
-
 def _infer(network, x: np.ndarray) -> np.ndarray:
-    """Softmax rows of every patch, forwarded in contiguous chunks. Any
-    object with a ``forward`` will do; without conv layers to size chunks
-    by, all patches go in one call."""
+    """Softmax rows of every patch, forwarded in contiguous chunks that each
+    conv runs as one slice of ``layers.COLS_BYTES``. Any object with a
+    ``forward`` will do; without conv layers to size chunks by, all patches
+    go in one call."""
     per_patch = im2col_bytes(getattr(network, "layers", ()), x.shape[2], x.shape[3],
                              x.dtype.itemsize)
-    chunk = max(1, _INFER_COLS_BYTES // per_patch) if per_patch else len(x)
+    chunk = samples_per_slice(per_patch, len(x))
     return np.concatenate([network.forward(x[i : i + chunk], train=False)
                            for i in range(0, len(x), chunk)])
 
@@ -231,11 +222,6 @@ def clip_accuracy(network: Network, patchset: PatchSet) -> float:
     """Fraction of clips whose aggregated prediction matches the label."""
     _, preds = predict_clips(network, patchset)
     return int((preds == patchset.clip_labels).sum()) / len(patchset.clip_ids)
-
-
-def evaluate(network: Network, test_set: PatchSet) -> float:
-    """Fraction of test clips whose aggregated prediction matches the label."""
-    return clip_accuracy(network, test_set)
 
 
 def train(
@@ -366,7 +352,7 @@ def run_single(
         channels=cfg.channels, kernel_size=cfg.kernel_size, seed=cfg.seed,
     )
     network, history = train(network, train_set, val_set, cfg)
-    accuracy = evaluate(network, test_set)
+    accuracy = clip_accuracy(network, test_set)
     return RunResult(accuracy, history, network, standardizer)
 
 

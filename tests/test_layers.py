@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from noisebench import build_baseline, load_checkpoint, save_checkpoint
+from noisebench import build_baseline, layers, load_checkpoint, save_checkpoint
 from noisebench.errors import ConfigError
-from noisebench.layers import BatchNorm, Conv2d, Dense, MaxPool, ReLU, Softmax
+from noisebench.layers import BatchNorm, Conv2d, Dense, MaxPool, ReLU, Softmax, im2col_bytes
 
 from conftest import finite_difference, relative_error
 
@@ -82,6 +82,55 @@ class TestConv2d:
                 (2, 6, 7, 2),
                 seed,
             )
+
+
+def conv_step(layer, x, probe):
+    """Output, input gradient and parameter gradients of one training step."""
+    out = layer.forward(x, train=True)
+    for p in layer.params():
+        p.grad[...] = 0
+    dx = layer.backward(probe)
+    return [out, dx, layer.weight.grad.copy(), layer.bias.grad.copy()]
+
+
+class TestConv2dSlices:
+    """A batch of 5 under a column budget of two samples runs as slices of
+    2, 2 and 1 samples; the default budget takes it in one slice."""
+
+    X_SHAPE = (5, 6, 7, 2)
+
+    def two_sample_budget(self, monkeypatch, layer):
+        per_sample = im2col_bytes([layer], *self.X_SHAPE[1:3], 8)
+        monkeypatch.setattr(layers, "COLS_BYTES", 2 * per_sample)
+
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    def test_slices_match_one_slice(self, monkeypatch, padding):
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal(self.X_SHAPE)
+        layer = Conv2d(2, 3, 3, padding, rng, np.float64)
+        probe = rng.standard_normal(layer.forward(x, train=False).shape)
+        whole = conv_step(layer, x, probe)
+        self.two_sample_budget(monkeypatch, layer)
+        sliced = conv_step(layer, x, probe)
+        for a, b in zip(whole, sliced):
+            assert a.shape == b.shape
+            assert np.abs(a - b).max() < 1e-12
+
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    def test_gradcheck(self, monkeypatch, padding):
+        self.two_sample_budget(monkeypatch, Conv2d(2, 3, 3, padding))
+        for seed in range(3):
+            layer_gradcheck(lambda rng: Conv2d(2, 3, 3, padding, rng, np.float64),
+                            self.X_SHAPE, seed)
+
+    def test_training_cache_holds_at_most_the_budget(self, monkeypatch):
+        layer = Conv2d(2, 3, 3, "same", dtype=np.float64)
+        self.two_sample_budget(monkeypatch, layer)
+        layer.forward(np.random.default_rng(22).standard_normal(self.X_SHAPE), train=True)
+        assert layer._slices(layer._cache[0])[2] == [(0, 2), (2, 4), (4, 5)]
+        cached = [a for a in layer._cache if isinstance(a, np.ndarray)]
+        assert cached
+        assert max(a.nbytes for a in cached) <= layers.COLS_BYTES
 
 
 class TestBatchNorm:

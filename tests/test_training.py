@@ -11,14 +11,13 @@ from noisebench import (
     Origin,
     TrainConfig,
     build_baseline,
-    evaluate,
     predict_clip,
     run_experiment,
     run_single,
     stratified_val_split,
     train,
 )
-from noisebench import training
+from noisebench import layers
 from noisebench.datasets import LabelRecord, Split
 from noisebench.errors import DataError
 from noisebench.layers import im2col_bytes
@@ -170,18 +169,18 @@ class TestEvaluate:
     def test_oracle_network_scores_one(self):
         labels = [0, 2, 1, 3]
         rows = np.eye(4)[labels]
-        assert evaluate(FakeNetwork(rows), patchset_from_rows(4, labels, 4)) == 1.0
+        assert clip_accuracy(FakeNetwork(rows), patchset_from_rows(4, labels, 4)) == 1.0
 
     def test_uniform_network_scores_class_zero_prevalence(self):
         labels = [0, 1, 2, 3] * 5
         rows = np.full((20, 4), 0.25)
-        acc = evaluate(FakeNetwork(rows), patchset_from_rows(20, labels, 4))
+        acc = clip_accuracy(FakeNetwork(rows), patchset_from_rows(20, labels, 4))
         assert acc == 0.25  # argmax ties break to class 0
 
     def test_hand_built_two_thirds(self):
         labels = [0, 1, 1]
         rows = [[0.9, 0.1], [0.2, 0.8], [0.7, 0.3]]
-        acc = evaluate(FakeNetwork(rows), patchset_from_rows(3, labels, 2))
+        acc = clip_accuracy(FakeNetwork(rows), patchset_from_rows(3, labels, 2))
         assert acc == pytest.approx(2.0 / 3.0)
 
 
@@ -205,8 +204,7 @@ class TestBatchedClipEvaluation:
             n_classes=3,
         )
         net = build_baseline(8, 8, 3, channels=(2, 3, 4), seed=4, dtype=np.float64)
-        monkeypatch.setattr(training, "_INFER_COLS_BYTES",
-                            3 * im2col_bytes(net.layers, 8, 8, 8))
+        monkeypatch.setattr(layers, "COLS_BYTES", 3 * im2col_bytes(net.layers, 8, 8, 8))
 
         probs, preds = predict_clips(net, ps)
         for i in range(counts.size):
@@ -280,7 +278,7 @@ class TestTrain:
         )
         net, history = train(net, data, data, cfg)
         assert len(history) <= 50
-        assert evaluate(net, data) >= 0.99
+        assert clip_accuracy(net, data) >= 0.99
 
     def test_bit_identical_history_for_same_seed(self):
         data = separable_patchset()
