@@ -19,6 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import AudioClip
 from .errors import ConfigError, DataError
+from .fileio import atomic_write
 
 
 @dataclass(frozen=True)
@@ -183,10 +184,8 @@ _CACHE_HEADER = struct.Struct("<iif")
 
 
 def save_feature_cache(path: str | Path, matrix: LogMelMatrix) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     values = np.ascontiguousarray(matrix.values, dtype="<f4")
-    with path.open("wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(_CACHE_HEADER.pack(values.shape[0], values.shape[1], matrix.frame_rate))
         fh.write(values.tobytes())
 

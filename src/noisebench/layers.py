@@ -23,6 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
+from .fileio import atomic_write
 
 
 @dataclass
@@ -90,7 +91,8 @@ class Conv2d(Layer):
     computed as im2col matrix products over batch slices of at most
     COLS_BYTES of columns (see ``samples_per_slice``). Training caches the
     padded input; when the batch is one slice its columns are kept too,
-    otherwise backward rebuilds each slice's. Weights are stored
+    otherwise backward rebuilds each slice's. A one-channel input lays its
+    columns out transposed (see ``_columns``). Weights are stored
     (out, in, kh, kw) whatever the activation layout."""
 
     kind = "conv2d"
@@ -118,8 +120,27 @@ class Conv2d(Layer):
         windows = _windows(x_pad, *self.weight.value.shape[2:])
         b, ho, wo, kh, kw, c = windows.shape
         n = samples_per_slice(ho * wo * kh * kw * c * x_pad.itemsize, b)
-        cols = np.empty((min(n, b) * ho * wo, kh * kw * c), dtype=x_pad.dtype)
+        cols = np.empty(min(n, b) * ho * wo * kh * kw * c, dtype=x_pad.dtype)
         return windows, cols, [(s, min(s + n, b)) for s in range(0, b, n)]
+
+    @staticmethod
+    def _columns(x_pad, windows, cols, s, e):
+        """Copy the columns of samples s:e into the buffer and return them as
+        a (rows, kh*kw*C) matrix. A one-channel input fills a transposed
+        (kh*kw, rows) matrix, one contiguous copy of shifted input rows per
+        kernel offset, where the general copy would move single floats."""
+        _, ho, wo, kh, kw, c = windows.shape
+        n_rows = (e - s) * ho * wo
+        if c == 1:
+            cols_t = cols[: kh * kw * n_rows].reshape(kh * kw, n_rows)
+            for i in range(kh):
+                for j in range(kw):
+                    np.copyto(cols_t[i * kw + j].reshape(e - s, ho, wo),
+                              x_pad[s:e, i : i + ho, j : j + wo, 0])
+            return cols_t.T
+        rows = cols[: n_rows * kh * kw * c].reshape(n_rows, kh * kw * c)
+        np.copyto(rows.reshape(windows[s:e].shape), windows[s:e])
+        return rows
 
     def forward(self, x, train):
         w = self.weight.value
@@ -135,12 +156,11 @@ class Conv2d(Layer):
         w_mat = w.transpose(2, 3, 1, 0).reshape(-1, w.shape[0])
         out = np.empty((b * ho * wo, w.shape[0]), dtype=np.result_type(x_pad, w))
         for s, e in slices:
-            rows = cols[: (e - s) * ho * wo]
-            np.copyto(rows.reshape(windows[s:e].shape), windows[s:e])
+            rows = self._columns(x_pad, windows, cols, s, e)
             np.matmul(rows, w_mat, out=out[s * ho * wo : e * ho * wo])
         out += self.bias.value
         if train:
-            self._cache = (x_pad, cols if len(slices) == 1 else None)
+            self._cache = (x_pad, rows if len(slices) == 1 else None)
         return out.reshape(b, ho, wo, -1)
 
     def backward(self, grad):
@@ -150,13 +170,17 @@ class Conv2d(Layer):
         f, c, kh, kw = w.shape
         b, ho, wo, _ = grad.shape
         g_mat = grad.reshape(b * ho * wo, f)
-        windows, cols, slices = self._slices(x_pad) if kept is None else (None, kept, [(0, b)])
+        windows, cols, slices = self._slices(x_pad) if kept is None else (None, None, [(0, b)])
         dx = np.zeros(x_pad.shape, dtype=grad.dtype)
         for s, e in slices:
-            rows, g = cols[: (e - s) * ho * wo], g_mat[s * ho * wo : e * ho * wo]
-            if kept is None:
-                np.copyto(rows.reshape(windows[s:e].shape), windows[s:e])
-            self.weight.grad += (rows.T @ g).reshape(kh, kw, c, f).transpose(3, 2, 0, 1)
+            g = g_mat[s * ho * wo : e * ho * wo]
+            rows = kept if kept is not None else self._columns(x_pad, windows, cols, s, e)
+            # Weight gradient as g.T @ rows: on either column layout it gives
+            # the bits of rows.T @ g on the general one at desk (k=3) and
+            # paper (k=5, 32 filters) widths. rows.T @ g on the transposed
+            # layout reaches OpenBLAS's small-matrix kernels in another
+            # form, which round differently on batches under 14 desk patches.
+            self.weight.grad += (g.T @ rows).reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
             # Input gradient, one kernel offset at a time: a (rows, C) product
             # added into its shifted window. No (rows, kh*kw*C) gradient matrix
             # is made, and each add runs over contiguous channels-last rows.
@@ -180,8 +204,16 @@ class Conv2d(Layer):
 def _channel_mean(x: np.ndarray) -> np.ndarray:
     """Per-channel mean of an NHWC array, accumulated in float64: summing
     B * H * W float32 values row after row would lose digits that a
-    large batch needs."""
-    return x.mean(axis=(0, 1, 2), dtype=np.float64)
+    large batch needs. The sum runs over B * H rows of W * C values, then
+    over W, which avoids most of the per-row overhead of B * H * W rows of C
+    values when C is small. A float64 sum of float32 values rounds only once
+    its partial sums outgrow the smallest value by some 2**29, so at desk
+    shapes this gives the bits of the plain reduction; at paper shape it can
+    differ from it in the last float64 bit, below what the float32 casts of
+    BatchNorm keep."""
+    b, h, w, c = x.shape
+    rows = x.reshape(b * h, w * c).sum(axis=0, dtype=np.float64)
+    return rows.reshape(w, c).sum(axis=0) / (b * h * w)
 
 
 class BatchNorm(Layer):
@@ -487,9 +519,7 @@ def save_checkpoint(path, net: Network, meta: dict | None = None,
         "extra": {k: list(v.shape) for k, v in extra_arrays.items()},
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)

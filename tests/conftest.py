@@ -1,4 +1,7 @@
-"""Shared helpers: finite-difference gradient checking and tiny datasets."""
+"""Shared helpers: finite-difference gradient checking, tiny datasets and
+interrupted file writes."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,3 +47,37 @@ def toy_dataset():
     return gen_synthetic_dataset(
         n_classes=3, clips_per_class=12, clean_fraction=0.25, sample_rate=4000, seed=11
     )
+
+
+class _WriteFails:
+    """A binary file handle whose second write raises after the first one
+    reached the file: a writer interrupted part way."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._writes = 0
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes > 1:
+            raise OSError("interrupted write")
+        return self._fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+@pytest.fixture
+def interrupt_writes(monkeypatch):
+    """A call that makes every file opened through Path.open for binary
+    writing, from then on, fail on its second write."""
+    real_open = Path.open
+
+    def open_(self, mode="r", *args, **kwargs):
+        fh = real_open(self, mode, *args, **kwargs)
+        return _WriteFails(fh) if "w" in mode and "b" in mode else fh
+
+    return lambda: monkeypatch.setattr(Path, "open", open_)

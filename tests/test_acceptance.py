@@ -383,7 +383,8 @@ def test_criterion_6_desk_scale_trend():
         f"clean {100 * clean_rep.mean:.1f} vs noisy {100 * cce_rep.mean:.1f} "
         f"(gap {100 * gap:+.1f} >= 5); lq {100 * lq_rep.mean:.1f} vs cce on noisy "
         f"labels: mean diff {100 * mean_diff:+.1f} >= -1, 7-seed median diff "
-        f"{100 * paired_median:+.1f} >= 0 ({elapsed:.0f}s)",
+        f"{100 * paired_median:+.1f} >= 0 (per seed: "
+        f"{' '.join(f'{100 * d:+.1f}' for d in diffs)}) ({elapsed:.0f}s)",
     )
 
 

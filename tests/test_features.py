@@ -217,3 +217,22 @@ class TestFeatureCache:
         assert loaded.clip_id == "clip01"
         assert loaded.frame_rate == pytest.approx(CFG.frame_rate)
         np.testing.assert_array_equal(loaded.values, values)
+
+    def test_interrupted_write_keeps_the_previous_file(self, tmp_path, interrupt_writes):
+        path = tmp_path / "clip01.lmf"
+        values = np.random.default_rng(8).standard_normal((32, 17)).astype(np.float32)
+        save_feature_cache(path, LogMelMatrix(values, "clip01", CFG.frame_rate))
+        before = path.read_bytes()
+        interrupt_writes()
+        with pytest.raises(OSError, match="interrupted"):
+            save_feature_cache(path, LogMelMatrix(2 * values, "clip01", CFG.frame_rate))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["clip01.lmf"]
+
+    def test_interrupted_first_write_leaves_no_file(self, tmp_path, interrupt_writes):
+        values = np.random.default_rng(9).standard_normal((32, 17)).astype(np.float32)
+        interrupt_writes()
+        with pytest.raises(OSError, match="interrupted"):
+            save_feature_cache(tmp_path / "cache" / "clip01.lmf",
+                               LogMelMatrix(values, "clip01", CFG.frame_rate))
+        assert list((tmp_path / "cache").iterdir()) == []

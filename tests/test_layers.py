@@ -10,10 +10,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from noisebench import build_baseline, layers, load_checkpoint, save_checkpoint
 from noisebench.errors import ConfigError
-from noisebench.layers import BatchNorm, Conv2d, Dense, MaxPool, ReLU, Softmax, im2col_bytes
+from noisebench.layers import (
+    BatchNorm,
+    Conv2d,
+    Dense,
+    MaxPool,
+    ReLU,
+    Softmax,
+    _channel_mean,
+    im2col_bytes,
+)
 
 from conftest import finite_difference, relative_error
 
@@ -74,12 +84,17 @@ class TestConv2d:
         with pytest.raises(ValueError, match=r"\(2, 5, 5, 1\)"):
             layer.forward(np.zeros((2, 5, 5, 1), dtype=np.float32), train=False)
 
-    @pytest.mark.parametrize("padding", ["same", "valid"])
-    def test_gradcheck(self, padding):
+    # Two input channels take the general column layout, one channel the
+    # transposed one; the two-channel cases keep their unsuffixed ids.
+    @pytest.mark.parametrize("padding,channels", [
+        pytest.param(padding, channels, id=padding if channels == 2 else f"{padding}-1ch")
+        for channels in (2, 1) for padding in ("same", "valid")
+    ])
+    def test_gradcheck(self, padding, channels):
         for seed in range(5):
             layer_gradcheck(
-                lambda rng: Conv2d(2, 3, 3, padding, rng, np.float64),
-                (2, 6, 7, 2),
+                lambda rng: Conv2d(channels, 3, 3, padding, rng, np.float64),
+                (2, 6, 7, channels),
                 seed,
             )
 
@@ -107,7 +122,7 @@ class TestConv2dSlices:
     def test_slices_match_one_slice(self, monkeypatch, padding):
         rng = np.random.default_rng(21)
         x = rng.standard_normal(self.X_SHAPE)
-        layer = Conv2d(2, 3, 3, padding, rng, np.float64)
+        layer = Conv2d(self.X_SHAPE[3], 3, 3, padding, rng, np.float64)
         probe = rng.standard_normal(layer.forward(x, train=False).shape)
         whole = conv_step(layer, x, probe)
         self.two_sample_budget(monkeypatch, layer)
@@ -118,19 +133,81 @@ class TestConv2dSlices:
 
     @pytest.mark.parametrize("padding", ["same", "valid"])
     def test_gradcheck(self, monkeypatch, padding):
-        self.two_sample_budget(monkeypatch, Conv2d(2, 3, 3, padding))
+        self.two_sample_budget(monkeypatch, Conv2d(self.X_SHAPE[3], 3, 3, padding))
         for seed in range(3):
-            layer_gradcheck(lambda rng: Conv2d(2, 3, 3, padding, rng, np.float64),
+            layer_gradcheck(lambda rng: Conv2d(self.X_SHAPE[3], 3, 3, padding, rng, np.float64),
                             self.X_SHAPE, seed)
 
     def test_training_cache_holds_at_most_the_budget(self, monkeypatch):
-        layer = Conv2d(2, 3, 3, "same", dtype=np.float64)
+        layer = Conv2d(self.X_SHAPE[3], 3, 3, "same", dtype=np.float64)
         self.two_sample_budget(monkeypatch, layer)
         layer.forward(np.random.default_rng(22).standard_normal(self.X_SHAPE), train=True)
         assert layer._slices(layer._cache[0])[2] == [(0, 2), (2, 4), (4, 5)]
         cached = [a for a in layer._cache if isinstance(a, np.ndarray)]
         assert cached
         assert max(a.nbytes for a in cached) <= layers.COLS_BYTES
+
+
+class TestConv2dSlicesOneChannel(TestConv2dSlices):
+    """The same checks on a one-channel input, whose columns are built
+    transposed from shifted input rows."""
+
+    X_SHAPE = (5, 6, 7, 1)
+
+
+def general_column_step(layer, x, probe, samples_per_slice):
+    """Output, input, weight and bias gradients of ``layer`` on ``x``,
+    computed from contiguous (rows, kh*kw*C) im2col columns with the
+    layer's own slicing and order of sums."""
+    w, bias = layer.weight.value, layer.bias.value
+    f, c, kh, kw = w.shape
+    p = layer.pad
+    x_pad = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+    b, ho, wo, _ = probe.shape
+    w_mat = w.transpose(2, 3, 1, 0).reshape(-1, f)
+    g_mat = probe.reshape(-1, f)
+    out = np.empty((b * ho * wo, f), dtype=x.dtype)
+    dw = np.zeros_like(w)
+    dx = np.zeros_like(x_pad)
+    for s in range(0, b, samples_per_slice):
+        e = min(s + samples_per_slice, b)
+        windows = sliding_window_view(x_pad[s:e], (kh, kw), axis=(1, 2))
+        cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3)).reshape(-1, kh * kw * c)
+        g = g_mat[s * ho * wo : e * ho * wo]
+        out[s * ho * wo : e * ho * wo] = cols @ w_mat
+        dw += (cols.T @ g).reshape(kh, kw, c, f).transpose(3, 2, 0, 1)
+        for i in range(kh):
+            for j in range(kw):
+                dx[s:e, i : i + ho, j : j + wo, :] += (g @ w[:, :, i, j]).reshape(e - s, ho, wo, c)
+    out += bias
+    dx = dx[:, p : x_pad.shape[1] - p, p : x_pad.shape[2] - p, :] if p else dx
+    return [out.reshape(b, ho, wo, f), dx, dw, g_mat.sum(axis=0)]
+
+
+class TestOneChannelColumns:
+    """The transposed one-channel columns change the memory layout, not the
+    arithmetic: every float32 result equals the general layout's bit for
+    bit at desk (kernel 3, 6 filters) and paper (kernel 5, 32 filters)
+    widths, for a desk batch of 64 in one slice or three, and for small
+    batches of 3 and 7 samples, so a later edit that reorders these sums
+    fails here."""
+
+    @pytest.mark.parametrize("kernel,padding,filters", [
+        (3, "same", 6), (3, "valid", 6), (5, "same", 32)])
+    @pytest.mark.parametrize("batch,per_slice", [(64, 64), (64, 22), (3, 3), (7, 3)])
+    def test_bits_match_general_columns(self, monkeypatch, kernel, padding, filters,
+                                        batch, per_slice):
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((batch, 24, 50, 1)).astype(np.float32)
+        layer = Conv2d(1, filters, kernel, padding, rng, np.float32)
+        layer.bias.value[...] = rng.standard_normal(filters)
+        probe = rng.standard_normal(layer.forward(x, train=False).shape).astype(np.float32)
+        monkeypatch.setattr(layers, "COLS_BYTES", per_slice * im2col_bytes([layer], 24, 50, 4))
+        got = conv_step(layer, x, probe)
+        want = general_column_step(layer, x, probe, per_slice)
+        for name, a, b in zip(["output", "input grad", "weight grad", "bias grad"], got, want):
+            assert a.dtype == np.float32, name
+            assert np.array_equal(a, b), name
 
 
 class TestBatchNorm:
@@ -155,6 +232,22 @@ class TestBatchNorm:
         out = BatchNorm(4).forward(x, train=True)
         assert out.dtype == np.float32
         assert np.abs(out.astype(np.float64).mean(axis=(0, 1, 2))).max() < 1e-6
+
+    # The input shapes of bn1 and bn2 at desk shape, then of bn2 at paper shape.
+    @pytest.mark.parametrize("shape", [(64, 24, 50, 1), (64, 12, 25, 6)], ids=["bn1", "bn2"])
+    def test_channel_mean_has_the_bits_of_a_plain_reduction(self, shape):
+        x = np.random.default_rng(5).standard_normal(shape).astype(np.float32)
+        assert np.array_equal(_channel_mean(x), x.mean(axis=(0, 1, 2), dtype=np.float64))
+
+    def test_channel_mean_of_a_paper_sized_batch_rounds_to_the_same_float32(self):
+        # 132k values per channel: here either grouping may round the last
+        # float64 bit (it does in one of the 32 channels of this input), and
+        # the layer's float32 casts must not see it.
+        x = np.random.default_rng(5).standard_normal((64, 48, 43, 32)).astype(np.float32)
+        plain = x.mean(axis=(0, 1, 2), dtype=np.float64)
+        folded = _channel_mean(x)
+        assert np.abs(folded - plain).max() <= np.spacing(np.abs(plain)).max()
+        assert np.array_equal(folded.astype(np.float32), plain.astype(np.float32))
 
     def test_inference_uses_running_stats_and_is_batch_size_independent(self):
         rng = np.random.default_rng(4)
@@ -294,6 +387,22 @@ class TestCheckpoint:
         probs = net.forward(extra["input"], train=False)
         np.testing.assert_allclose(probs, extra["probs"], rtol=0, atol=1e-6)
         np.testing.assert_array_equal(probs.argmax(axis=1), extra["probs"].argmax(axis=1))
+
+    def test_interrupted_write_keeps_the_previous_file(self, tmp_path, interrupt_writes):
+        path = tmp_path / "net.nbc"
+        save_checkpoint(path, build_baseline(16, 16, 4, channels=(3, 4, 5), seed=9))
+        before = path.read_bytes()
+        interrupt_writes()
+        with pytest.raises(OSError, match="interrupted"):
+            save_checkpoint(path, build_baseline(16, 16, 4, channels=(3, 4, 5), seed=10))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["net.nbc"]
+
+    def test_interrupted_first_write_leaves_no_file(self, tmp_path, interrupt_writes):
+        interrupt_writes()
+        with pytest.raises(OSError, match="interrupted"):
+            save_checkpoint(tmp_path / "ckpt" / "net.nbc", build_baseline(16, 16, 4, seed=9))
+        assert list((tmp_path / "ckpt").iterdir()) == []
 
     def test_rejects_non_checkpoint(self, tmp_path):
         bogus = tmp_path / "x.nbc"
