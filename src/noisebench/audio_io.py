@@ -50,7 +50,8 @@ def read_wav(path: str | Path, clip_id: str | None = None) -> AudioClip:
         raise DataError(f"{path}: expected mono audio, got {n_channels} channels")
     if samp_width != 2:
         raise DataError(f"{path}: expected 16-bit PCM, got sample width {samp_width}")
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float32) / 32768.0
+    samples = np.frombuffer(raw, dtype="<i2").astype(np.float32)
+    samples /= 32768.0  # a power of two: exact, and no second array
     if samples.size == 0:
         raise DataError(f"{path}: file contains no samples")
     return AudioClip(samples, sample_rate, clip_id if clip_id is not None else path.stem)

@@ -27,7 +27,12 @@ from .datasets import (
     write_manifest,
 )
 from .errors import ConfigError, DataError, NumericError
-from .features import extract_logmel, load_feature_cache, save_feature_cache
+from .features import (
+    extract_logmel,
+    feature_cache_matches,
+    load_feature_cache,
+    save_feature_cache,
+)
 from .layers import save_checkpoint
 from .noise import format_noise_report, inject_noise, noise_report
 from .plots import line_plot_svg
@@ -96,6 +101,10 @@ def cmd_synth_data(cfg: config_mod.ExperimentConfig, args) -> int:
     return 0
 
 
+def _cache_path(cache_dir: Path, clip_id: str) -> Path:
+    return cache_dir / (Path(clip_id).stem + ".lmf")
+
+
 def _feature_job(item):
     clip, cache_path, feat_cfg = item
     save_feature_cache(cache_path, extract_logmel(clip, feat_cfg))
@@ -112,8 +121,8 @@ def cmd_features(cfg: config_mod.ExperimentConfig, args) -> int:
     if "synthetic" in cfg.dataset:
         clips, _, _ = gen_synthetic_dataset(**cfg.dataset["synthetic"])
         for clip in clips:
-            cache_path = cache_dir / (Path(clip.clip_id).stem + ".lmf")
-            if cache_path.exists() and not args.force:
+            cache_path = _cache_path(cache_dir, clip.clip_id)
+            if not args.force and feature_cache_matches(cache_path, cfg.features):
                 skipped += 1
                 continue
             jobs.append((clip, cache_path, cfg.features))
@@ -123,11 +132,11 @@ def cmd_features(cfg: config_mod.ExperimentConfig, args) -> int:
         )
         for rec in manifest.records:
             wav_path = manifest.audio_root / rec.clip_id
-            cache_path = cache_dir / (Path(rec.clip_id).stem + ".lmf")
+            cache_path = _cache_path(cache_dir, rec.clip_id)
             if (
-                cache_path.exists()
-                and not args.force
+                not args.force
                 and wav_path.exists()
+                and feature_cache_matches(cache_path, cfg.features)
                 and cache_path.stat().st_mtime >= wav_path.stat().st_mtime
             ):
                 skipped += 1
@@ -175,14 +184,13 @@ def cmd_inject_noise(cfg: config_mod.ExperimentConfig, args) -> int:
 
 
 def _load_features(cfg, clips):
-    """Per-clip log-mels, from the cache directory when available."""
+    """Per-clip log-mels, from the cache directory when a file there matches
+    the feature config; missing or stale files are computed and written."""
     features = {}
     cache_dir = Path(cfg.resolve(cfg.cache_dir)) if cfg.cache_dir else None
     for clip in clips:
-        cache_path = (
-            cache_dir / (Path(clip.clip_id).stem + ".lmf") if cache_dir else None
-        )
-        if cache_path is not None and cache_path.exists():
+        cache_path = _cache_path(cache_dir, clip.clip_id) if cache_dir else None
+        if cache_path is not None and feature_cache_matches(cache_path, cfg.features):
             features[clip.clip_id] = load_feature_cache(cache_path, clip.clip_id)
         else:
             matrix = extract_logmel(clip, cfg.features)

@@ -86,27 +86,47 @@ def _hann(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
+# Frames per STFT block: besides the padded samples and the power matrix,
+# one block's windowed frames, spectrum and squares are all that is held.
+_BLOCK_FRAMES = 64
+
+
 def stft_power(clip: AudioClip, cfg: FeatureConfig) -> np.ndarray:
     """Power spectrogram, shape (fft_size // 2 + 1, n_frames).
 
     Frame t covers samples [t * hop, t * hop + fft_size) of the
     reflection-padded signal; n_frames = ceil(len / hop). Each bin is the
     squared magnitude of the Hann-windowed DFT.
+
+    The frames are transformed _BLOCK_FRAMES at a time into one
+    (n_frames, n_bins) matrix, returned transposed. float32 samples are
+    windowed straight into a float64 buffer: the cast is exact, so the bits
+    are those of transforming the float64 signal in one go.
     """
     if clip.sample_rate != cfg.sample_rate:
         raise ConfigError(
             f"clip {clip.clip_id!r} has sample rate {clip.sample_rate}, "
             f"config expects {cfg.sample_rate}"
         )
-    x = np.asarray(clip.samples, dtype=np.float64)
+    x = clip.samples
+    if x.dtype != np.float32:
+        x = x.astype(np.float64, copy=False)
     n = x.size
     n_frames = -(-n // cfg.hop)
     needed = (n_frames - 1) * cfg.hop + cfg.fft_size
     if needed > n:
         x = np.pad(x, (0, needed - n), mode="reflect" if n > 1 else "edge")
     frames = sliding_window_view(x, cfg.fft_size)[:: cfg.hop][:n_frames]
-    spectrum = np.fft.rfft(frames * _hann(cfg.fft_size), axis=1)
-    return (spectrum.real**2 + spectrum.imag**2).T
+    window = _hann(cfg.fft_size)
+    power = np.empty((n_frames, cfg.fft_size // 2 + 1))
+    windowed = np.empty((min(n_frames, _BLOCK_FRAMES), cfg.fft_size))
+    for start in range(0, n_frames, _BLOCK_FRAMES):
+        block = frames[start : start + _BLOCK_FRAMES]
+        spectrum = np.fft.rfft(np.multiply(block, window, out=windowed[: len(block)]), axis=1)
+        rows = power[start : start + len(block)]
+        np.square(spectrum.real, out=rows)
+        rows += np.square(spectrum.imag)
+    return power.T
 
 
 def mel_scale(freq_hz):
@@ -145,9 +165,11 @@ def mel_filterbank(cfg: FeatureConfig) -> np.ndarray:
 
 def extract_logmel(clip: AudioClip, cfg: FeatureConfig) -> LogMelMatrix:
     """Natural-log mel spectrogram, floored at log(log_floor)."""
-    power = stft_power(clip, cfg)
-    mel_power = mel_filterbank(cfg) @ power
-    values = np.log(np.maximum(mel_power, cfg.log_floor))
+    # One dense product over the whole matrix: per-block products round
+    # differently in the last bit.
+    values = mel_filterbank(cfg) @ stft_power(clip, cfg)
+    np.maximum(values, cfg.log_floor, out=values)
+    np.log(values, out=values)
     return LogMelMatrix(values, clip.clip_id, cfg.frame_rate)
 
 
@@ -187,16 +209,38 @@ def save_feature_cache(path: str | Path, matrix: LogMelMatrix) -> None:
     values = np.ascontiguousarray(matrix.values, dtype="<f4")
     with atomic_write(path) as fh:
         fh.write(_CACHE_HEADER.pack(values.shape[0], values.shape[1], matrix.frame_rate))
-        fh.write(values.tobytes())
+        fh.write(values.data)
+
+
+def _read_header(fh, path: Path) -> tuple[int, int, float]:
+    header = fh.read(_CACHE_HEADER.size)
+    if len(header) != _CACHE_HEADER.size:
+        raise DataError(f"{path}: truncated feature cache")
+    return _CACHE_HEADER.unpack(header)
+
+
+def feature_cache_matches(path: str | Path, cfg: FeatureConfig) -> bool:
+    """Whether a cache file exists at path with cfg's n_mels and float32
+    frame rate.
+
+    Only the 12-byte header is read; a missing file, or one written under
+    other settings, should be (re)computed. A header cut short is a
+    DataError.
+    """
+    path = Path(path)
+    try:
+        fh = path.open("rb")
+    except FileNotFoundError:
+        return False
+    with fh:
+        n_mels, _, frame_rate = _read_header(fh, path)
+    return n_mels == cfg.n_mels and bool(frame_rate == np.float32(cfg.frame_rate))
 
 
 def load_feature_cache(path: str | Path, clip_id: str | None = None) -> LogMelMatrix:
     path = Path(path)
     with path.open("rb") as fh:
-        header = fh.read(_CACHE_HEADER.size)
-        if len(header) != _CACHE_HEADER.size:
-            raise DataError(f"{path}: truncated feature cache")
-        n_mels, n_frames, frame_rate = _CACHE_HEADER.unpack(header)
+        n_mels, n_frames, frame_rate = _read_header(fh, path)
         values = np.frombuffer(fh.read(4 * n_mels * n_frames), dtype="<f4")
     if values.size != n_mels * n_frames:
         raise DataError(f"{path}: truncated feature cache")

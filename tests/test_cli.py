@@ -5,6 +5,7 @@ import wave
 
 import pytest
 
+from noisebench import cli
 from noisebench.cli import main
 from noisebench.config import experiment_cells, load_config
 from noisebench.datasets import Subset
@@ -197,6 +198,65 @@ class TestFeatures:
         assert victim.name in err and "truncated" in err
         victim.write_bytes(victim.read_bytes()[:5])  # inside the header
         assert main(["run", "--config", str(path)]) == 2
+
+
+class TestStaleFeatureCache:
+    """Cache files written under another n_mels are recomputed, not reused."""
+
+    @staticmethod
+    def _set_n_mels(path, cfg, n_mels):
+        cfg["features"]["n_mels"] = n_mels
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+
+    @staticmethod
+    def _cached_rows(cache_dir):
+        files = sorted(cache_dir.glob("*.lmf"))
+        assert files
+        return {load_feature_cache(f).values.shape[0] for f in files}
+
+    def test_run_recomputes_features_of_another_n_mels(self, tmp_path, monkeypatch):
+        path, cfg = base_config(tmp_path)
+        cfg["features"]["cache_dir"] = str(tmp_path / "cache")
+        self._set_n_mels(path, cfg, 16)
+        assert main(["features", "--config", str(path)]) == 0
+        assert self._cached_rows(tmp_path / "cache") == {16}
+
+        seen_rows = set()
+        real_run_experiment = cli.run_experiment
+
+        def spy(*args, features, **kwargs):
+            seen_rows.update(m.values.shape[0] for m in features.values())
+            return real_run_experiment(*args, features=features, **kwargs)
+
+        monkeypatch.setattr(cli, "run_experiment", spy)
+        self._set_n_mels(path, cfg, 8)
+        assert main(["run", "--config", str(path)]) == 0
+        assert seen_rows == {8}
+        assert self._cached_rows(tmp_path / "cache") == {8}
+
+    def test_synthetic_features_are_recomputed(self, tmp_path, capsys):
+        path, cfg = base_config(tmp_path)
+        cfg["features"]["cache_dir"] = str(tmp_path / "cache")
+        self._set_n_mels(path, cfg, 16)
+        assert main(["features", "--config", str(path)]) == 0
+        n_files = len(list((tmp_path / "cache").glob("*.lmf")))
+        capsys.readouterr()
+        self._set_n_mels(path, cfg, 8)
+        assert main(["features", "--config", str(path)]) == 0
+        assert f"{n_files} computed, 0 up to date" in capsys.readouterr().out
+        assert self._cached_rows(tmp_path / "cache") == {8}
+
+    def test_manifest_features_are_recomputed(self, on_disk_dataset, capsys):
+        path, cfg, _ = on_disk_dataset
+        assert main(["features", "--config", str(path)]) == 0
+        n_files = len(list((path.parent / "cache").glob("*.lmf")))
+        capsys.readouterr()
+        self._set_n_mels(path, cfg, 8)
+        assert main(["features", "--config", str(path)]) == 0
+        assert f"{n_files} computed, 0 up to date" in capsys.readouterr().out
+        assert self._cached_rows(path.parent / "cache") == {8}
+        assert main(["features", "--config", str(path)]) == 0
+        assert f"0 computed, {n_files} up to date" in capsys.readouterr().out
 
 
 class TestInjectNoise:

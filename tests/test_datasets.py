@@ -201,6 +201,18 @@ class TestWavIO:
         assert loaded.sample_rate == 8000
         assert np.abs(loaded.samples - clip.samples).max() <= 1.0 / 32768
 
+    def test_samples_are_pcm_over_32768_in_float32(self, tmp_path):
+        pcm = np.array([-32768, -32767, -1, 0, 1, 12345, 32767], dtype="<i2")
+        path = tmp_path / "pcm.wav"
+        with wave.open(str(path), "wb") as fh:
+            fh.setnchannels(1)
+            fh.setsampwidth(2)
+            fh.setframerate(8000)
+            fh.writeframes(pcm.tobytes())
+        samples = read_wav(path).samples
+        assert samples.dtype == np.float32
+        assert np.array_equal(samples, (pcm / 32768).astype(np.float32))
+
     def test_rejects_stereo(self, tmp_path):
         path = tmp_path / "stereo.wav"
         with wave.open(str(path), "wb") as fh:

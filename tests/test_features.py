@@ -1,17 +1,22 @@
 """STFT, mel filterbank, log-mel extraction, and patch slicing."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from noisebench import AudioClip, FeatureConfig, extract_logmel, mel_filterbank, patchify, stft_power
 from noisebench.features import (
     LogMelMatrix,
+    feature_cache_matches,
     load_feature_cache,
     mel_scale,
     mel_to_hz,
     save_feature_cache,
 )
-from noisebench.errors import ConfigError
+from noisebench.errors import ConfigError, DataError
 
 CFG = FeatureConfig(sample_rate=8000, fft_size=512, hop=256, n_mels=32)
 
@@ -64,6 +69,64 @@ class TestStftPower:
     def test_sample_rate_mismatch(self):
         with pytest.raises(ConfigError, match="sample rate"):
             stft_power(clip_of(np.zeros(100), sr=4000), CFG)
+
+
+def one_shot_power(samples, cfg):
+    """The whole-clip STFT power: float64 signal, every frame at once."""
+    x = np.asarray(samples, dtype=np.float64)
+    n = x.size
+    n_frames = -(-n // cfg.hop)
+    needed = (n_frames - 1) * cfg.hop + cfg.fft_size
+    if needed > n:
+        x = np.pad(x, (0, needed - n), mode="reflect" if n > 1 else "edge")
+    frames = sliding_window_view(x, cfg.fft_size)[:: cfg.hop][:n_frames]
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(cfg.fft_size) / cfg.fft_size)
+    spectrum = np.fft.rfft(frames * window, axis=1)
+    return (spectrum.real**2 + spectrum.imag**2).T
+
+
+def bit_identity_cases():
+    for name, cfg in (("test", CFG), ("paper", FeatureConfig())):
+        hop = cfg.hop
+        lengths = {
+            "1": 1,
+            "2": 2,
+            "fft-1": cfg.fft_size - 1,
+            "63fr": 63 * hop,
+            "64fr": 64 * hop,
+            "65fr": 64 * hop + 1,
+            "129fr": 129 * hop,
+            "3s": 3 * cfg.sample_rate + 7,
+        }
+        for label, n in lengths.items():
+            for dtype in (np.float32, np.float64):
+                yield pytest.param(cfg, n, dtype, id=f"{name}-{label}-{np.dtype(dtype).name}")
+
+
+class TestBlockedStft:
+    @pytest.mark.parametrize("cfg, n, dtype", bit_identity_cases())
+    def test_bits_match_the_one_shot_transform(self, cfg, n, dtype):
+        samples = np.random.default_rng(n).uniform(-1.0, 1.0, n).astype(dtype)
+        clip = AudioClip(samples, cfg.sample_rate, "t")
+        expected = one_shot_power(samples, cfg)
+        power = stft_power(clip, cfg)
+        assert power.shape == (cfg.fft_size // 2 + 1, -(-n // cfg.hop))
+        assert np.array_equal(power, expected)
+        logmel = np.log(np.maximum(mel_filterbank(cfg) @ expected, cfg.log_floor))
+        assert np.array_equal(extract_logmel(clip, cfg).values, logmel)
+
+    def test_transient_memory_stays_under_two_power_matrices(self):
+        cfg = FeatureConfig()
+        samples = np.random.default_rng(0).uniform(-1.0, 1.0, 30 * cfg.sample_rate)
+        clip = AudioClip(samples.astype(np.float32), cfg.sample_rate, "t")
+        power_bytes = (cfg.fft_size // 2 + 1) * -(-samples.size // cfg.hop) * 8
+        tracemalloc.start()
+        try:
+            extract_logmel(clip, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * power_bytes
 
 
 class TestMelFilterbank:
@@ -217,6 +280,27 @@ class TestFeatureCache:
         assert loaded.clip_id == "clip01"
         assert loaded.frame_rate == pytest.approx(CFG.frame_rate)
         np.testing.assert_array_equal(loaded.values, values)
+
+    def test_file_is_the_header_then_the_float32_values(self, tmp_path):
+        values = np.random.default_rng(10).standard_normal((32, 17))
+        path = tmp_path / "clip01.lmf"
+        save_feature_cache(path, LogMelMatrix(values, "clip01", CFG.frame_rate))
+        expected = struct.pack("<iif", 32, 17, CFG.frame_rate)
+        assert path.read_bytes() == expected + values.astype("<f4").tobytes()
+
+    def test_header_check_against_the_config(self, tmp_path):
+        path = tmp_path / "clip01.lmf"
+        assert not feature_cache_matches(path, CFG)
+        values = np.zeros((CFG.n_mels, 5), dtype=np.float32)
+        save_feature_cache(path, LogMelMatrix(values, "clip01", CFG.frame_rate))
+        assert feature_cache_matches(path, CFG)
+        assert not feature_cache_matches(path, FeatureConfig(sample_rate=8000, fft_size=512,
+                                                             hop=256, n_mels=16))
+        assert not feature_cache_matches(path, FeatureConfig(sample_rate=8000, fft_size=512,
+                                                             hop=200, n_mels=32))
+        path.write_bytes(path.read_bytes()[:5])
+        with pytest.raises(DataError, match="truncated"):
+            feature_cache_matches(path, CFG)
 
     def test_interrupted_write_keeps_the_previous_file(self, tmp_path, interrupt_writes):
         path = tmp_path / "clip01.lmf"
