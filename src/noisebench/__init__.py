@@ -14,7 +14,6 @@ from .datasets import (
 from .features import (
     FeatureConfig,
     LogMelMatrix,
-    LogMelPatch,
     extract_logmel,
     mel_filterbank,
     patchify,

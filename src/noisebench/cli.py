@@ -18,14 +18,7 @@ from pathlib import Path
 
 from . import config as config_mod
 from .audio_io import read_wav, write_wav
-from .datasets import (
-    DatasetManifest,
-    Origin,
-    Split,
-    gen_synthetic_dataset,
-    load_manifest,
-    write_manifest,
-)
+from .datasets import gen_synthetic_dataset, load_manifest, write_manifest
 from .errors import ConfigError, DataError, NumericError
 from .features import (
     extract_logmel,
@@ -34,7 +27,7 @@ from .features import (
     save_feature_cache,
 )
 from .layers import save_checkpoint
-from .noise import format_noise_report, inject_noise, noise_report
+from .noise import corrupt_noisy_train, format_noise_report, noise_report
 from .plots import line_plot_svg
 from .training import (
     run_experiment,
@@ -59,29 +52,8 @@ def _load_dataset(cfg: config_mod.ExperimentConfig):
 
 
 def _apply_noise(cfg, clips, manifest, pool):
-    """Corrupt the noisy-origin train records in place of the originals."""
-    noisy_pairs = [
-        (c, r)
-        for c, r in zip(clips, manifest.records)
-        if r.split is Split.TRAIN and r.origin is Origin.NOISY
-    ]
-    if not noisy_pairs:
-        return clips, manifest, None
-    n_clips = [c for c, _ in noisy_pairs]
-    n_records = [r for _, r in noisy_pairs]
-    out_clips, out_records, log = inject_noise(
-        n_clips, n_records, cfg.noise, pool, manifest.n_classes,
-        patch_seconds=cfg.features.patch_seconds,
-    )
-    replacement = {r.clip_id: (c, r) for c, r in zip(out_clips, out_records)}
-    new_clips, new_records = [], []
-    for clip, rec in zip(clips, manifest.records):
-        c, r = replacement.get(rec.clip_id, (clip, rec))
-        new_clips.append(c)
-        new_records.append(r)
-    new_manifest = DatasetManifest(new_records, list(manifest.class_names),
-                                   manifest.audio_root)
-    return new_clips, new_manifest, log
+    return corrupt_noisy_train(clips, manifest, cfg.noise, pool,
+                               patch_seconds=cfg.features.patch_seconds)
 
 
 def cmd_synth_data(cfg: config_mod.ExperimentConfig, args) -> int:
@@ -183,13 +155,20 @@ def cmd_inject_noise(cfg: config_mod.ExperimentConfig, args) -> int:
     return 0
 
 
-def _load_features(cfg, clips):
+def _load_features(cfg, clips, uncached=frozenset()):
     """Per-clip log-mels, from the cache directory when a file there matches
-    the feature config; missing or stale files are computed and written."""
+    the feature config; missing or stale files are computed and written.
+
+    Clips named in ``uncached`` are extracted fresh and their cache files
+    neither read nor written: the cache is keyed by clip id alone, so it
+    cannot tell corrupted audio from the clean clip of the same id.
+    """
     features = {}
     cache_dir = Path(cfg.resolve(cfg.cache_dir)) if cfg.cache_dir else None
     for clip in clips:
-        cache_path = _cache_path(cache_dir, clip.clip_id) if cache_dir else None
+        cache_path = None
+        if cache_dir is not None and clip.clip_id not in uncached:
+            cache_path = _cache_path(cache_dir, clip.clip_id)
         if cache_path is not None and feature_cache_matches(cache_path, cfg.features):
             features[clip.clip_id] = load_feature_cache(cache_path, clip.clip_id)
         else:
@@ -203,9 +182,12 @@ def _load_features(cfg, clips):
 
 def cmd_run(cfg: config_mod.ExperimentConfig, args) -> int:
     clips, manifest, pool = _load_dataset(cfg)
+    corrupted = set()
     if cfg.noise is not None:
-        clips, manifest, _ = _apply_noise(cfg, clips, manifest, pool)
-    features = _load_features(cfg, clips)
+        noisy_clips, manifest, _ = _apply_noise(cfg, clips, manifest, pool)
+        corrupted = {new.clip_id for old, new in zip(clips, noisy_clips) if new is not old}
+        clips = noisy_clips
+    features = _load_features(cfg, clips, corrupted)
     out = Path(args.output or cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -10,6 +10,7 @@ patches with the trailing remainder discarded.
 from __future__ import annotations
 
 import functools
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -173,6 +174,14 @@ def extract_logmel(clip: AudioClip, cfg: FeatureConfig) -> LogMelMatrix:
     return LogMelMatrix(values, clip.clip_id, cfg.frame_rate)
 
 
+def patch_count(n_frames: int, cfg: FeatureConfig) -> int:
+    """How many patches patchify cuts from n_frames frames."""
+    n_patch = cfg.patch_frames
+    if n_patch < 1:
+        raise ConfigError("patch_frames must be >= 1; increase patch_seconds or frame rate")
+    return max(1, n_frames // n_patch)
+
+
 def patchify(matrix: LogMelMatrix, label: int, cfg: FeatureConfig) -> list[LogMelPatch]:
     """Cut a log-mel matrix into fixed-length patches carrying the clip label.
 
@@ -180,18 +189,17 @@ def patchify(matrix: LogMelMatrix, label: int, cfg: FeatureConfig) -> list[LogMe
     inputs yield floor(n_frames / patch_frames) consecutive patches and the
     remainder is dropped.
     """
-    n_patch = cfg.patch_frames
-    if n_patch < 1:
-        raise ConfigError("patch_frames must be >= 1; increase patch_seconds or frame rate")
-    values = matrix.values
     n_frames = matrix.n_frames
+    if n_frames == 0:
+        raise DataError(f"clip {matrix.clip_id!r} has no frames to cut patches from")
+    count = patch_count(n_frames, cfg)
+    n_patch = cfg.patch_frames
+    values = matrix.values
     if n_frames < n_patch:
         reps = -(-n_patch // n_frames)
         chunks = [np.tile(values, reps)[:, :n_patch]]
     else:
-        chunks = [
-            values[:, i * n_patch : (i + 1) * n_patch] for i in range(n_frames // n_patch)
-        ]
+        chunks = [values[:, i * n_patch : (i + 1) * n_patch] for i in range(count)]
     return [
         LogMelPatch(chunk, matrix.clip_id, label, i) for i, chunk in enumerate(chunks)
     ]
@@ -238,14 +246,23 @@ def feature_cache_matches(path: str | Path, cfg: FeatureConfig) -> bool:
 
 
 def load_feature_cache(path: str | Path, clip_id: str | None = None) -> LogMelMatrix:
+    """Read a cache file written by save_feature_cache.
+
+    The body is read straight into the returned float32 array. A header
+    with negative dimensions, or one claiming more values than the file
+    holds, is a DataError; bytes past the claimed body are ignored.
+    """
     path = Path(path)
     with path.open("rb") as fh:
         n_mels, n_frames, frame_rate = _read_header(fh, path)
-        values = np.frombuffer(fh.read(4 * n_mels * n_frames), dtype="<f4")
-    if values.size != n_mels * n_frames:
-        raise DataError(f"{path}: truncated feature cache")
-    return LogMelMatrix(
-        values.reshape(n_mels, n_frames).copy(),
-        clip_id if clip_id is not None else path.stem,
-        frame_rate,
-    )
+        body = os.fstat(fh.fileno()).st_size - _CACHE_HEADER.size
+        if n_mels < 0 or n_frames < 0:
+            raise DataError(f"{path}: corrupt feature cache header "
+                            f"({n_mels} x {n_frames} values)")
+        if 4 * n_mels * n_frames > body:
+            raise DataError(f"{path}: truncated feature cache (header claims "
+                            f"{n_mels} x {n_frames} values, body holds {body // 4})")
+        values = np.empty((n_mels, n_frames), dtype="<f4")
+        if fh.readinto(values.data) != values.nbytes:
+            raise DataError(f"{path}: truncated feature cache")
+    return LogMelMatrix(values, clip_id if clip_id is not None else path.stem, frame_rate)

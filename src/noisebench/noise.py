@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import AudioClip
-from .datasets import LabelRecord, Origin
+from .datasets import DatasetManifest, LabelRecord, Origin, Split
 from .errors import ConfigError, DataError
 
 
@@ -256,6 +256,38 @@ def inject_noise(
         log.entries[rec.clip_id] = ProvenanceEntry(noise_type, original_label, sources)
 
     return out_clips, out_records, log
+
+
+def corrupt_noisy_train(
+    clips: list[AudioClip],
+    manifest: DatasetManifest,
+    spec: NoiseSpec,
+    distractor_pool: list[AudioClip],
+    patch_seconds: float = 2.0,
+) -> tuple[list[AudioClip], DatasetManifest, ProvenanceLog | None]:
+    """inject_noise on the noisy-origin train records of a manifest, with
+    the results merged back in manifest order.
+
+    ``clips`` must align with ``manifest.records``. Returns the new clips,
+    a new manifest and the provenance log; with no noisy-origin train
+    record, the inputs come back unchanged and the log is None. As in
+    inject_noise, only clips whose audio changes are new objects.
+    """
+    noisy = [
+        i for i, r in enumerate(manifest.records)
+        if r.split is Split.TRAIN and r.origin is Origin.NOISY
+    ]
+    if not noisy:
+        return clips, manifest, None
+    out_clips, out_records, log = inject_noise(
+        [clips[i] for i in noisy], [manifest.records[i] for i in noisy], spec,
+        distractor_pool, manifest.n_classes, patch_seconds=patch_seconds,
+    )
+    new_clips, new_records = list(clips), list(manifest.records)
+    for i, clip, rec in zip(noisy, out_clips, out_records):
+        new_clips[i], new_records[i] = clip, rec
+    return new_clips, DatasetManifest(new_records, list(manifest.class_names),
+                                      manifest.audio_root), log
 
 
 def noise_report(log: ProvenanceLog) -> dict[NoiseType, tuple[int, float]]:

@@ -28,7 +28,7 @@ from .datasets import (
     select_subset,
 )
 from .errors import DataError, NumericError
-from .features import FeatureConfig, LogMelMatrix, extract_logmel, patchify
+from .features import FeatureConfig, LogMelMatrix, extract_logmel, patch_count, patchify
 from .layers import Network, build_baseline, im2col_bytes, samples_per_slice
 from .losses import LossConfig, one_hot, selective_batch_loss
 from .optim import Adam, plateau_lr, should_stop
@@ -105,31 +105,31 @@ def build_patchset(
     cfg: FeatureConfig,
     n_classes: int,
 ) -> PatchSet:
-    """Stack the patches of the given records; features are cast to float32
-    so cached and freshly-computed paths train identically."""
-    xs, labels, origins, clip_index = [], [], [], []
-    clip_ids, clip_labels = [], []
-    for rec in records:
-        matrix = features[rec.clip_id]
-        matrix = LogMelMatrix(matrix.values.astype(np.float32), matrix.clip_id,
-                              matrix.frame_rate)
-        idx = len(clip_ids)
-        clip_ids.append(rec.clip_id)
-        clip_labels.append(rec.class_index)
-        for patch in patchify(matrix, rec.class_index, cfg):
-            xs.append(patch.values[None, :, :])
-            labels.append(rec.class_index)
-            origins.append(rec.origin)
-            clip_index.append(idx)
-    if not xs:
+    """Stack the patches of the given records into one float32 array, so
+    cached and freshly-computed features train identically.
+
+    The array is allocated once and each patch from patchify is cast into
+    its row, which rounds as astype(np.float32) would.
+    """
+    if not records:
         raise DataError("no patches produced; is the record list empty?")
+    counts = np.array([patch_count(features[rec.clip_id].n_frames, cfg) for rec in records])
+    n_mels = features[records[0].clip_id].values.shape[0]
+    x = np.empty((int(counts.sum()), 1, n_mels, cfg.patch_frames), dtype=np.float32)
+    row = 0
+    for rec in records:
+        for patch in patchify(features[rec.clip_id], rec.class_index, cfg):
+            x[row, 0] = patch.values
+            row += 1
+    clip_labels = np.array([rec.class_index for rec in records], dtype=np.int64)
+    origins = np.asarray([rec.origin for rec in records], dtype=object)
     return PatchSet(
-        x=np.stack(xs).astype(np.float32),
-        labels=np.asarray(labels, dtype=np.int64),
-        origins=np.asarray(origins, dtype=object),
-        clip_index=np.asarray(clip_index, dtype=np.int64),
-        clip_ids=clip_ids,
-        clip_labels=np.asarray(clip_labels, dtype=np.int64),
+        x=x,
+        labels=np.repeat(clip_labels, counts),
+        origins=np.repeat(origins, counts),
+        clip_index=np.repeat(np.arange(len(records), dtype=np.int64), counts),
+        clip_ids=[rec.clip_id for rec in records],
+        clip_labels=clip_labels,
         n_classes=n_classes,
     )
 
@@ -143,12 +143,21 @@ class Standardizer:
 
     @classmethod
     def fit(cls, patches: np.ndarray) -> "Standardizer":
-        mean = patches.mean(axis=(0, 1, 3))
-        std = patches.std(axis=(0, 1, 3))
-        return cls(mean.astype(np.float32), np.maximum(std, 1e-8).astype(np.float32))
+        # numpy's std with the mean taken once: the same reductions, so the
+        # same bits as patches.mean() and patches.std() over these axes.
+        axes = (0, 1, 3)
+        mean = patches.mean(axis=axes, keepdims=True)
+        centred = np.subtract(patches, mean)
+        np.square(centred, out=centred)
+        std = np.sqrt(centred.mean(axis=axes))
+        return cls(mean.reshape(-1).astype(np.float32),
+                   np.maximum(std, 1e-8).astype(np.float32))
 
     def apply(self, patches: np.ndarray) -> np.ndarray:
-        return (patches - self.mean[None, None, :, None]) / self.std[None, None, :, None]
+        """Standardised copy of patches; the input is left unchanged."""
+        out = np.subtract(patches, self.mean[None, None, :, None])
+        out /= self.std[None, None, :, None]
+        return out
 
 
 def stratified_val_split(

@@ -34,8 +34,9 @@ from noisebench import (
     soft_bootstrap,
 )
 from noisebench.cli import main as cli_main
-from noisebench.datasets import DatasetManifest, Split
+from noisebench.datasets import Split
 from noisebench.layers import BatchNorm, Conv2d, Dense, MaxPool, ReLU, Softmax
+from noisebench.noise import corrupt_noisy_train
 from noisebench.training import precompute_features
 
 from conftest import finite_difference, random_simplex, relative_error
@@ -333,22 +334,9 @@ def _trend_dataset():
         n_classes=4, clips_per_class=50, clean_fraction=0.05,
         sample_rate=4000, seed=42, test_per_class=25, snr_db=-2.0,
     )
-    pairs = [
-        (c, r)
-        for c, r in zip(clips, manifest.records)
-        if r.split is Split.TRAIN and r.origin is Origin.NOISY
-    ]
-    out_clips, out_records, _ = inject_noise(
-        [c for c, _ in pairs], [r for _, r in pairs],
-        NoiseSpec(p_incorrect_iv=0.40, seed=99), pool, 4,
+    noisy_clips, noisy_manifest, _ = corrupt_noisy_train(
+        clips, manifest, NoiseSpec(p_incorrect_iv=0.40, seed=99), pool
     )
-    replacement = {r.clip_id: (c, r) for c, r in zip(out_clips, out_records)}
-    noisy_clips, noisy_records = [], []
-    for c, r in zip(clips, manifest.records):
-        c2, r2 = replacement.get(r.clip_id, (c, r))
-        noisy_clips.append(c2)
-        noisy_records.append(r2)
-    noisy_manifest = DatasetManifest(noisy_records, list(manifest.class_names))
     return clips, manifest, noisy_clips, noisy_manifest
 
 

@@ -1,16 +1,18 @@
 """End-to-end CLI behavior on a miniature synthetic dataset."""
 
 import json
+import struct
 import wave
 
+import numpy as np
 import pytest
 
 from noisebench import cli
 from noisebench.cli import main
 from noisebench.config import experiment_cells, load_config
-from noisebench.datasets import Subset
+from noisebench.datasets import Origin, Split, Subset, gen_synthetic_dataset
 from noisebench.errors import ConfigError
-from noisebench.features import load_feature_cache
+from noisebench.features import extract_logmel, load_feature_cache
 from noisebench.losses import LossConfig
 
 
@@ -199,6 +201,21 @@ class TestFeatures:
         victim.write_bytes(victim.read_bytes()[:5])  # inside the header
         assert main(["run", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("n_frames", [(1 << 31) - 1, -5, 0],
+                             ids=["huge", "negative", "empty"])
+    def test_corrupt_cache_header_is_a_data_error(self, tmp_path, capsys, n_frames):
+        # n_mels and the frame rate match the config, so run reads the body.
+        path, cfg = base_config(tmp_path)
+        cfg["features"]["cache_dir"] = str(tmp_path / "cache")
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["features", "--config", str(path)]) == 0
+        victim = sorted((tmp_path / "cache").glob("*.lmf"))[1]
+        data = victim.read_bytes()
+        victim.write_bytes(data[:4] + struct.pack("<i", n_frames) + data[8:])
+        capsys.readouterr()
+        assert main(["run", "--config", str(path)]) == 2
+        assert victim.stem in capsys.readouterr().err
+
 
 class TestStaleFeatureCache:
     """Cache files written under another n_mels are recomputed, not reused."""
@@ -257,6 +274,43 @@ class TestStaleFeatureCache:
         assert self._cached_rows(path.parent / "cache") == {8}
         assert main(["features", "--config", str(path)]) == 0
         assert f"0 computed, {n_files} up to date" in capsys.readouterr().out
+
+
+class TestCorruptedAudioBypassesTheCache:
+    """The cache is keyed by clip id, which a corrupted clip keeps."""
+
+    def test_run_extracts_corrupted_clips_and_keeps_clean_files(self, tmp_path, monkeypatch):
+        path, cfg = base_config(tmp_path)
+        cfg["features"]["cache_dir"] = str(tmp_path / "cache")
+        cfg["noise"] = {"p_incorrect_oov": 1.0, "seed": 3}
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["features", "--config", str(path)]) == 0
+        clean_files = {f.name: f.read_bytes() for f in (tmp_path / "cache").glob("*.lmf")}
+
+        seen = {}
+        real_run_experiment = cli.run_experiment
+
+        def spy(clips, manifest, feat_cfg, *args, features, **kwargs):
+            seen.update(clips=clips, manifest=manifest, features=features, feat_cfg=feat_cfg)
+            return real_run_experiment(clips, manifest, feat_cfg, *args, features=features,
+                                       **kwargs)
+
+        monkeypatch.setattr(cli, "run_experiment", spy)
+        assert main(["run", "--config", str(path)]) == 0
+
+        clean_clips, _, _ = gen_synthetic_dataset(**cfg["dataset"]["synthetic"])
+        clean_samples = {c.clip_id: c.samples for c in clean_clips}
+        corrupted = [
+            clip for clip, rec in zip(seen["clips"], seen["manifest"].records)
+            if rec.split is Split.TRAIN and rec.origin is Origin.NOISY
+        ]
+        assert len(corrupted) == 8
+        for clip in corrupted:
+            assert not np.array_equal(clip.samples, clean_samples[clip.clip_id])
+            expected = extract_logmel(clip, seen["feat_cfg"]).values
+            assert np.array_equal(seen["features"][clip.clip_id].values, expected)
+        after = {f.name: f.read_bytes() for f in (tmp_path / "cache").glob("*.lmf")}
+        assert after == clean_files
 
 
 class TestInjectNoise:

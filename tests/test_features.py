@@ -260,6 +260,10 @@ class TestPatchify:
         for t in range(CFG.patch_frames):
             np.testing.assert_array_equal(patch[:, t], values[:, t % n])
 
+    def test_empty_input_is_a_data_error(self):
+        with pytest.raises(DataError, match="'t' has no frames"):
+            patchify(matrix_of(np.zeros((32, 0))), 0, CFG)
+
     def test_patch_count_formula(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
@@ -320,3 +324,47 @@ class TestFeatureCache:
             save_feature_cache(tmp_path / "cache" / "clip01.lmf",
                                LogMelMatrix(values, "clip01", CFG.frame_rate))
         assert list((tmp_path / "cache").iterdir()) == []
+
+
+def reference_load_feature_cache(path):
+    """The body read as bytes, then copied into the array."""
+    with open(path, "rb") as fh:
+        n_mels, n_frames, frame_rate = struct.unpack("<iif", fh.read(12))
+        values = np.frombuffer(fh.read(4 * n_mels * n_frames), dtype="<f4")
+    return values.reshape(n_mels, n_frames).copy(), frame_rate
+
+
+class TestFeatureCacheRead:
+    @pytest.mark.parametrize("cfg", [CFG, FeatureConfig(),
+                                     FeatureConfig(sample_rate=4000, fft_size=256, hop=160,
+                                                   n_mels=24)],
+                             ids=["test", "paper", "desk"])
+    @pytest.mark.parametrize("n_frames", [0, 1, 17, 1292])
+    def test_bits_match_the_bytes_copy(self, tmp_path, cfg, n_frames):
+        values = np.random.default_rng(n_frames).standard_normal((cfg.n_mels, n_frames))
+        path = tmp_path / "clip.lmf"
+        save_feature_cache(path, LogMelMatrix(values, "clip", cfg.frame_rate))
+        loaded = load_feature_cache(path)
+        ref_values, ref_rate = reference_load_feature_cache(path)
+        assert loaded.values.dtype == np.dtype("<f4") and loaded.values.flags.c_contiguous
+        assert loaded.values.flags.writeable
+        assert np.array_equal(loaded.values, ref_values)
+        assert loaded.frame_rate == ref_rate
+
+    def test_body_longer_than_the_header_says_is_read_as_before(self, tmp_path):
+        values = np.arange(6, dtype="<f4").reshape(2, 3)
+        path = tmp_path / "clip.lmf"
+        save_feature_cache(path, LogMelMatrix(values, "clip", CFG.frame_rate))
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        np.testing.assert_array_equal(load_feature_cache(path).values, values)
+
+    @pytest.mark.parametrize("n_mels, n_frames", [(1 << 20, 1 << 20), (-1, 5), (4, -3),
+                                                  (-2, -2), (32, 18)],
+                             ids=["huge", "negative-mels", "negative-frames", "both-negative",
+                                  "short-body"])
+    def test_corrupt_header_is_a_data_error(self, tmp_path, n_mels, n_frames):
+        path = tmp_path / "clip.lmf"
+        body = np.zeros((32, 17), dtype="<f4").tobytes()
+        path.write_bytes(struct.pack("<iif", n_mels, n_frames, CFG.frame_rate) + body)
+        with pytest.raises(DataError, match="clip.lmf"):
+            load_feature_cache(path)

@@ -14,8 +14,13 @@ from noisebench import (
     noise_report,
     patchify,
 )
-from noisebench.datasets import LabelRecord, Split
-from noisebench.noise import ProvenanceEntry, ProvenanceLog, format_noise_report
+from noisebench.datasets import DatasetManifest, LabelRecord, Split
+from noisebench.noise import (
+    ProvenanceEntry,
+    ProvenanceLog,
+    corrupt_noisy_train,
+    format_noise_report,
+)
 from noisebench.errors import ConfigError, DataError
 
 
@@ -138,6 +143,44 @@ class TestInjectNoise:
             NoiseSpec(0.5, 0.5, 0.5, 0.0, 0.0)
         with pytest.raises(ConfigError):
             NoiseSpec(p_density=-0.1)
+
+
+class TestCorruptNoisyTrain:
+    def test_merges_corrupted_records_back_in_manifest_order(self):
+        clips, manifest, pool = gen_synthetic_dataset(
+            n_classes=3, clips_per_class=8, clean_fraction=0.25, sample_rate=4000, seed=5
+        )
+        spec = NoiseSpec(p_incorrect_iv=0.3, p_incorrect_oov=0.3, seed=7)
+        new_clips, new_manifest, log = corrupt_noisy_train(clips, manifest, spec, pool)
+        noisy = [i for i, r in enumerate(manifest.records)
+                 if r.split is Split.TRAIN and r.origin is Origin.NOISY]
+        out_clips, out_records, ref_log = inject_noise(
+            [clips[i] for i in noisy], [manifest.records[i] for i in noisy], spec, pool, 3
+        )
+        assert log.entries == ref_log.entries
+        assert [r.clip_id for r in new_manifest.records] == [r.clip_id for r in manifest.records]
+        assert new_manifest.class_names == manifest.class_names
+        assert new_manifest.audio_root == manifest.audio_root
+        for j, i in enumerate(noisy):
+            assert new_manifest.records[i] == out_records[j]
+            assert np.array_equal(new_clips[i].samples, out_clips[j].samples)
+        for i in set(range(len(clips))) - set(noisy):
+            assert new_clips[i] is clips[i]
+            assert new_manifest.records[i] == manifest.records[i]
+        # Label flips keep the clip object; only changed audio is new.
+        for i in noisy:
+            changed = log.entries[clips[i].clip_id].noise_type is NoiseType.INCORRECT_OOV
+            assert (new_clips[i] is not clips[i]) == changed
+
+    def test_no_noisy_train_record_returns_the_inputs(self):
+        all_clips, full, pool = gen_synthetic_dataset(
+            n_classes=2, clips_per_class=4, clean_fraction=0.5, sample_rate=4000, seed=1
+        )
+        keep = [i for i, r in enumerate(full.records) if r.origin is Origin.CLEAN]
+        clips = [all_clips[i] for i in keep]
+        manifest = DatasetManifest([full.records[i] for i in keep], full.class_names)
+        out = corrupt_noisy_train(clips, manifest, NoiseSpec(p_incorrect_iv=1.0), pool)
+        assert out[0] is clips and out[1] is manifest and out[2] is None
 
 
 class TestNoiseReport:

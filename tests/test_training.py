@@ -1,6 +1,8 @@
 """Validation split, standardization, clip aggregation, training loop,
 and the multi-seed experiment report."""
 
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -20,11 +22,18 @@ from noisebench import (
 from noisebench import layers
 from noisebench.datasets import LabelRecord, Split
 from noisebench.errors import DataError
+from noisebench.features import (
+    LogMelMatrix,
+    load_feature_cache,
+    patchify,
+    save_feature_cache,
+)
 from noisebench.layers import im2col_bytes
 from noisebench.training import (
     EpochStats,
     PatchSet,
     Standardizer,
+    build_patchset,
     clip_accuracy,
     confidence_halfwidth,
     predict_clips,
@@ -90,6 +99,172 @@ class TestStandardizer:
         sigma = out.std(axis=(0, 1, 3))
         assert np.abs(mean).max() < 1e-3
         assert np.abs(sigma - 1.0).max() < 1e-2
+
+    @pytest.mark.parametrize("shape", [(1, 1, 24, 50), (37, 1, 24, 50), (16, 1, 96, 86),
+                                       (5, 1, 16, 62)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_match_two_pass_numpy_moments(self, shape, dtype):
+        rng = np.random.default_rng(shape[0])
+        patches = (-4.0 + 3.0 * rng.standard_normal(shape)).astype(dtype)
+        ref = ReferenceStandardizer.fit(patches)
+        got = Standardizer.fit(patches)
+        assert got.mean.shape == got.std.shape == (shape[2],)
+        assert np.array_equal(got.mean, ref.mean) and np.array_equal(got.std, ref.std)
+        assert np.array_equal(got.apply(patches), ref.apply(patches))
+
+    def test_apply_leaves_its_input_unchanged(self):
+        patches = np.random.default_rng(6).standard_normal((8, 1, 16, 20)).astype(np.float32)
+        before = patches.copy()
+        out = Standardizer.fit(patches).apply(patches)
+        assert np.array_equal(patches, before)
+        assert not np.shares_memory(out, patches)
+
+    def test_apply_allocates_one_output(self):
+        patches = np.random.default_rng(7).standard_normal((64, 1, 96, 86)).astype(np.float32)
+        standardizer = Standardizer.fit(patches)
+        peak, out = traced_peak(standardizer.apply, patches)
+        assert peak <= 1.2 * out.nbytes
+
+
+def traced_peak(fn, *args):
+    """tracemalloc peak of one call, and the call's result."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+class ReferenceStandardizer(Standardizer):
+    """Two-pass numpy moments and an out-of-place apply."""
+
+    @classmethod
+    def fit(cls, patches):
+        mean = patches.mean(axis=(0, 1, 3))
+        std = patches.std(axis=(0, 1, 3))
+        return cls(mean.astype(np.float32), np.maximum(std, 1e-8).astype(np.float32))
+
+    def apply(self, patches):
+        return (patches - self.mean[None, None, :, None]) / self.std[None, None, :, None]
+
+
+def reference_build_patchset(records, features, cfg, n_classes):
+    """Per-clip float32 copies, stacked, then cast again."""
+    xs, labels, origins, clip_index, clip_ids, clip_labels = [], [], [], [], [], []
+    for rec in records:
+        matrix = features[rec.clip_id]
+        matrix = LogMelMatrix(matrix.values.astype(np.float32), matrix.clip_id,
+                              matrix.frame_rate)
+        idx = len(clip_ids)
+        clip_ids.append(rec.clip_id)
+        clip_labels.append(rec.class_index)
+        for patch in patchify(matrix, rec.class_index, cfg):
+            xs.append(patch.values[None, :, :])
+            labels.append(rec.class_index)
+            origins.append(rec.origin)
+            clip_index.append(idx)
+    return PatchSet(
+        x=np.stack(xs).astype(np.float32),
+        labels=np.asarray(labels, dtype=np.int64),
+        origins=np.asarray(origins, dtype=object),
+        clip_index=np.asarray(clip_index, dtype=np.int64),
+        clip_ids=clip_ids,
+        clip_labels=np.asarray(clip_labels, dtype=np.int64),
+        n_classes=n_classes,
+    )
+
+
+# The desk (criterion 6), paper and CLI test feature configs.
+PATCH_CONFIGS = {
+    "desk": FeatureConfig(sample_rate=4000, fft_size=256, hop=160, n_mels=24),
+    "paper": FeatureConfig(),
+    "cli": FeatureConfig(sample_rate=2000, fft_size=128, hop=64, n_mels=16),
+}
+
+
+def logmel_set(cfg, frame_counts, seed=0):
+    """Records and float64 log-mel-like matrices with the given frame counts;
+    labels and origins alternate."""
+    rng = np.random.default_rng(seed)
+    records, features = [], {}
+    for i, n_frames in enumerate(frame_counts):
+        clip_id = f"clip{i}.wav"
+        origin = Origin.CLEAN if i % 3 == 0 else Origin.NOISY
+        records.append(LabelRecord(clip_id, i % 4, origin, Split.TRAIN))
+        values = -10.0 + 4.0 * rng.standard_normal((cfg.n_mels, n_frames))
+        features[clip_id] = LogMelMatrix(values, clip_id, cfg.frame_rate)
+    return records, features
+
+
+def frame_ladder(cfg):
+    """Tiled short clips (1 frame up to one short of a patch), exact-length
+    clips and multi-patch clips with and without a remainder."""
+    pf = cfg.patch_frames
+    return [1, 2, pf // 3, pf - 1, pf, 2 * pf, 2 * pf + pf // 2, 3 * pf - 1, pf + 1]
+
+
+def assert_same_patchset(got, ref):
+    assert got.x.dtype == ref.x.dtype == np.float32
+    assert np.array_equal(got.x, ref.x)
+    for name in ("labels", "clip_index", "clip_labels"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.origins.dtype == object and list(got.origins) == list(ref.origins)
+    assert got.clip_ids == ref.clip_ids and got.n_classes == ref.n_classes
+
+
+class TestBuildPatchset:
+    @pytest.mark.parametrize("name", PATCH_CONFIGS)
+    def test_bits_match_stack_then_cast_on_fresh_features(self, name):
+        cfg = PATCH_CONFIGS[name]
+        records, features = logmel_set(cfg, frame_ladder(cfg))
+        got = build_patchset(records, features, cfg, 4)
+        assert_same_patchset(got, reference_build_patchset(records, features, cfg, 4))
+
+    @pytest.mark.parametrize("name", PATCH_CONFIGS)
+    def test_bits_match_stack_then_cast_on_cached_features(self, name, tmp_path):
+        cfg = PATCH_CONFIGS[name]
+        records, fresh = logmel_set(cfg, frame_ladder(cfg), seed=1)
+        cached = {}
+        for clip_id, matrix in fresh.items():
+            save_feature_cache(tmp_path / f"{clip_id}.lmf", matrix)
+            cached[clip_id] = load_feature_cache(tmp_path / f"{clip_id}.lmf", clip_id)
+        got = build_patchset(records, cached, cfg, 4)
+        assert_same_patchset(got, reference_build_patchset(records, cached, cfg, 4))
+        # Fresh float64 and cached float32 features stack to the same patches.
+        assert np.array_equal(got.x, build_patchset(records, fresh, cfg, 4).x)
+
+    @pytest.mark.parametrize("frames", [1, 62, 200])
+    def test_single_record(self, frames):
+        cfg = PATCH_CONFIGS["cli"]
+        records, features = logmel_set(cfg, [frames], seed=frames)
+        got = build_patchset(records, features, cfg, 2)
+        assert_same_patchset(got, reference_build_patchset(records, features, cfg, 2))
+
+    def test_standardized_trend_set_matches_the_reference(self):
+        cfg = PATCH_CONFIGS["desk"]
+        records, features = logmel_set(cfg, [12, 25, 50, 51, 130, 7, 99, 150] * 6, seed=4)
+        got = build_patchset(records, features, cfg, 4)
+        ref = reference_build_patchset(records, features, cfg, 4)
+        standardizer = Standardizer.fit(got.x)
+        reference = ReferenceStandardizer.fit(ref.x)
+        assert np.array_equal(standardizer.apply(got.x), reference.apply(ref.x))
+
+    def test_empty_record_list_is_a_data_error(self):
+        with pytest.raises(DataError, match="no patches"):
+            build_patchset([], {}, PATCH_CONFIGS["cli"], 2)
+
+    def test_peak_memory_is_one_output_array(self):
+        # Short, exact and long clips of float64 features at the paper config;
+        # stacking used to hold per-clip copies, the stack and its cast.
+        cfg = PATCH_CONFIGS["paper"]
+        pf = cfg.patch_frames
+        records, features = logmel_set(cfg, [pf // 4, pf, 3 * pf + 5, 2 * pf - 1] * 20)
+        peak, patchset = traced_peak(build_patchset, records, features, cfg, 4)
+        assert patchset.x.nbytes > 3_000_000
+        assert peak <= 1.2 * patchset.x.nbytes
 
 
 class FakeNetwork:
