@@ -26,6 +26,7 @@ from .features import (
     load_feature_cache,
     save_feature_cache,
 )
+from .fileio import atomic_csv_writer
 from .layers import save_checkpoint
 from .noise import corrupt_noisy_train, format_noise_report, noise_report
 from .plots import line_plot_svg
@@ -83,6 +84,8 @@ def _feature_job(item):
 
 
 def cmd_features(cfg: config_mod.ExperimentConfig, args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cache_dir = Path(cfg.resolve(cfg.cache_dir) if cfg.cache_dir
                      else Path(args.output or cfg.output_dir) / "features")
     cache_dir.mkdir(parents=True, exist_ok=True)
@@ -121,7 +124,7 @@ def cmd_features(cfg: config_mod.ExperimentConfig, args) -> int:
             jobs.append((clip, cache_path, cfg.features))
 
     if args.jobs > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(args.jobs) as pool:
+        with multiprocessing.Pool(min(args.jobs, len(jobs))) as pool:
             pool.map(_feature_job, jobs)
     else:
         for job in jobs:
@@ -242,10 +245,8 @@ def cmd_report(cfg: config_mod.ExperimentConfig, args) -> int:
         cell = path.stem.removeprefix("report_")
         print(f"{cell:<40s} {100 * data['mean']:>8.1f}±{100 * data['ci95_halfwidth']:.1f}")
         lines.append([cell, f"{data['mean']:.6f}", f"{data['ci95_halfwidth']:.6f}"])
-    import csv as csv_mod
-
-    with (out / "summary.csv").open("w", newline="", encoding="utf-8") as fh:
-        csv_mod.writer(fh).writerows(lines)
+    with atomic_csv_writer(out / "summary.csv") as writer:
+        writer.writerows(lines)
     return 0
 
 

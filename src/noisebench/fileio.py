@@ -1,7 +1,9 @@
-"""Atomic file replacement for caches and checkpoints."""
+"""Atomic file replacement for caches, checkpoints and result CSVs."""
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -27,3 +29,11 @@ def atomic_write(path: str | Path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+@contextmanager
+def atomic_csv_writer(path: str | Path):
+    """Yield a ``csv.writer`` whose UTF-8 rows replace ``path`` atomically,
+    with the same bytes as ``open(path, "w", newline="", encoding="utf-8")``."""
+    with atomic_write(path) as raw, io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
+        yield csv.writer(fh)

@@ -179,6 +179,52 @@ class TestFeatures:
         for f in serial:
             assert f.read_bytes() == (parallel_dir / f.name).read_bytes()
 
+    @staticmethod
+    def _record_pool_sizes(monkeypatch):
+        """Replace the worker pool with a serial stand-in that records the
+        process count it was asked for; no process is started."""
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes=None):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(cli.multiprocessing, "Pool", SerialPool)
+        return sizes
+
+    def test_pool_has_no_more_workers_than_jobs(self, tmp_path, monkeypatch, capsys):
+        path, cfg = base_config(tmp_path)
+        cfg["features"]["cache_dir"] = str(tmp_path / "cache")
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        sizes = self._record_pool_sizes(monkeypatch)
+        assert main(["features", "--config", str(path), "--jobs", "64"]) == 0
+        cached = sorted((tmp_path / "cache").glob("*.lmf"))
+        assert sizes == [len(cached)] and len(cached) == len(cfg_records(cfg))
+        for victim in cached[:3]:
+            victim.unlink()
+        assert main(["features", "--config", str(path), "--jobs", "64"]) == 0
+        assert sizes[1:] == [3]
+        assert "3 computed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_a_config_error(self, tmp_path, monkeypatch, capsys, jobs):
+        path, cfg = base_config(tmp_path)
+        cfg["features"]["cache_dir"] = str(tmp_path / "cache")
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        sizes = self._record_pool_sizes(monkeypatch)
+        assert main(["features", "--config", str(path), "--jobs", jobs]) == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert sizes == [] and not list(tmp_path.glob("cache/*.lmf"))
+
     def test_cache_frame_count_matches_hop_arithmetic(self, on_disk_dataset):
         path, cfg, out = on_disk_dataset
         assert main(["features", "--config", str(path)]) == 0
@@ -373,3 +419,13 @@ class TestRun:
         text = capsys.readouterr().out
         assert "all_cce" in text
         assert (tmp_path / "out" / "summary.csv").exists()
+
+    def test_report_of_a_truncated_csv_is_a_data_error(self, tmp_path, capsys):
+        path, cfg = base_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        victim = out / "report_all_cce.csv"
+        victim.write_text("kind,run,seed,accuracy\r\nrun,0,5,0.500000\r\n", encoding="utf-8")
+        assert main(["report", "--config", str(path)]) == 2
+        assert victim.name in capsys.readouterr().err
+        assert not (out / "summary.csv").exists()

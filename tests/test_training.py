@@ -1,12 +1,17 @@
 """Validation split, standardization, clip aggregation, training loop,
 and the multi-seed experiment report."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import noisebench
 from noisebench import (
     FeatureConfig,
     LossConfig,
@@ -32,12 +37,14 @@ from noisebench.layers import im2col_bytes
 from noisebench.training import (
     EpochStats,
     PatchSet,
+    RunReport,
     Standardizer,
     build_patchset,
     clip_accuracy,
     confidence_halfwidth,
     predict_clips,
     read_report_csv,
+    student_t_quantile,
     write_history_csv,
     write_report_csv,
 )
@@ -479,6 +486,66 @@ class TestConfidenceInterval:
             confidence_halfwidth([0.5])
 
 
+def mp_t_quantile(p, df, start):
+    """The Student-t p-quantile to 40 digits.
+
+    Newton's method on mpmath's regularized incomplete beta. The upper tail
+    is strictly decreasing in t, so its root is unique: ``start`` only sets
+    how many steps it takes, and the loop fails unless the steps converge.
+    """
+    with mp.workdps(40):
+        nu, t = mp.mpf(df), mp.mpf(start)
+        scale = mp.gamma((nu + 1) / 2) / (mp.sqrt(nu * mp.pi) * mp.gamma(nu / 2))
+        for _ in range(20):
+            upper = mp.betainc(nu / 2, mp.mpf(1) / 2, 0, nu / (nu + t * t), regularized=True) / 2
+            density = scale * (1 + t * t / nu) ** (-(nu + 1) / 2)
+            step = (upper - (1 - mp.mpf(p))) / density
+            t += step
+            if abs(step) < mp.mpf(10) ** -36 * abs(t):
+                return t
+    raise AssertionError(f"Newton did not converge at df={df}")
+
+
+class TestStudentTQuantile:
+    def test_matches_mpmath_for_df_1_to_1000(self):
+        worst = 0.0
+        for df in range(1, 1001):
+            ours = student_t_quantile(0.975, df)
+            ref = mp_t_quantile(0.975, df, ours)
+            worst = max(worst, float(abs(ours - ref) / ref))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("df", [10**4, 10**5])
+    def test_matches_mpmath_at_large_df(self, df):
+        ours = student_t_quantile(0.975, df)
+        ref = mp_t_quantile(0.975, df, ours)
+        assert float(abs(ours - ref) / ref) <= 1e-9
+
+    @pytest.mark.parametrize("p", [0.6, 0.9, 0.995])
+    @pytest.mark.parametrize("df", [1, 2, 7, 333])
+    def test_other_probabilities(self, p, df):
+        ours = student_t_quantile(p, df)
+        ref = mp_t_quantile(p, df, ours)
+        assert float(abs(ours - ref) / ref) <= 1e-12
+
+    @pytest.mark.parametrize("p,df", [(0.5, 3), (1.0, 3), (0.9, 0)])
+    def test_arguments_out_of_range_raise(self, p, df):
+        with pytest.raises(ValueError):
+            student_t_quantile(p, df)
+
+    def test_importing_the_package_loads_no_scipy(self):
+        # scipy.stats alone costs about 70 MB of RSS and over a second of
+        # start-up in every process that imports noisebench.
+        src = str(Path(noisebench.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, noisebench, noisebench.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True, timeout=120)
+        assert done.stdout.strip() == "[]"
+
+
 @pytest.fixture(scope="module")
 def tiny_experiment():
     from noisebench import gen_synthetic_dataset
@@ -578,11 +645,52 @@ class TestCsvRoundtrips:
         assert lines[1].startswith("1,1.500000,0.400000")
 
     def test_report_csv(self, tmp_path):
-        from noisebench import RunReport
-
         report = RunReport([0.5, 0.7], 0.6, 0.1, 2, {"seed": 3})
         write_report_csv(report, tmp_path / "r.csv")
         loaded = read_report_csv(tmp_path / "r.csv")
         assert loaded["accuracies"] == [0.5, 0.7]
         assert loaded["mean"] == 0.6
         assert loaded["ci95_halfwidth"] == 0.1
+
+    def test_csv_bytes(self, tmp_path):
+        write_report_csv(RunReport([0.5, 0.7], 0.6, 0.1, 2, {"seed": 3}), tmp_path / "r.csv")
+        assert (tmp_path / "r.csv").read_bytes() == (
+            b"kind,run,seed,accuracy\r\nrun,0,3,0.500000\r\nrun,1,4,0.700000\r\n"
+            b"mean,,,0.600000\r\nci95_halfwidth,,,0.100000\r\n"
+        )
+        write_history_csv([EpochStats(1, 1.5, 0.4, 0.001)], tmp_path / "h.csv")
+        assert (tmp_path / "h.csv").read_bytes() == (
+            b"epoch,train_loss,val_accuracy,learning_rate\r\n1,1.500000,0.400000,0.00100000\r\n"
+        )
+
+    @pytest.mark.parametrize("which", ["history", "report"])
+    def test_a_writer_that_fails_mid_file_keeps_the_previous_file(self, tmp_path, which):
+        path = tmp_path / "out.csv"
+        if which == "history":
+            good = [EpochStats(1, 1.5, 0.4, 0.001), EpochStats(2, 1.1, 0.5, 0.001)]
+            write_history_csv(good, path)
+            before = path.read_bytes()
+            with pytest.raises(ValueError):  # the second row cannot be formatted
+                write_history_csv([good[0], EpochStats(2, "nan?", 0.5, 0.001)], path)
+        else:
+            write_report_csv(RunReport([0.5, 0.7], 0.6, 0.1, 2, {"seed": 3}), path)
+            before = path.read_bytes()
+            with pytest.raises(ValueError):
+                write_report_csv(RunReport([0.5, "x"], 0.6, 0.1, 2, {"seed": 3}), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    @pytest.mark.parametrize("drop,add", [
+        ("mean", ""),
+        ("ci95_halfwidth", ""),
+        ("", "median,,,0.6\r\n"),
+        ("ci95_halfwidth", "ci95_halfwidth,,"),
+    ], ids=["no-mean", "no-ci", "unknown-kind", "cut-mid-row"])
+    def test_truncated_or_unknown_report_rows_are_data_errors(self, tmp_path, drop, add):
+        path = tmp_path / "report_all_cce.csv"
+        write_report_csv(RunReport([0.5, 0.7], 0.6, 0.1, 2, {"seed": 3}), path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(ln for ln in lines if not drop or not ln.startswith(drop)) + add,
+                        encoding="utf-8", newline="")
+        with pytest.raises(DataError, match="report_all_cce.csv"):
+            read_report_csv(path)
