@@ -84,8 +84,6 @@ def _feature_job(item):
 
 
 def cmd_features(cfg: config_mod.ExperimentConfig, args) -> int:
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cache_dir = Path(cfg.resolve(cfg.cache_dir) if cfg.cache_dir
                      else Path(args.output or cfg.output_dir) / "features")
     cache_dir.mkdir(parents=True, exist_ok=True)
@@ -289,6 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         cfg = config_mod.load_config(args.config)
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:

@@ -305,25 +305,6 @@ class ExperimentError(NumericError):
         self.partial = partial
 
 
-def _log_gamma_ratio(a: float) -> float:
-    """log(Gamma(a + 1/2) / Gamma(a)).
-
-    For large ``a`` the two log-gammas are large and nearly equal, and
-    subtracting them loses up to 1e-11 (at a = 5e4). Stirling's series for
-    both cancels their large terms exactly instead.
-    """
-    if a < 12.0:
-        return math.lgamma(a + 0.5) - math.lgamma(a)
-
-    def stirling_remainder(x):
-        # lgamma(x) - ((x - 1/2) log x - x + log(2 pi) / 2), to O(x^-11)
-        x2 = x * x
-        return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * x2)) / x2) / x2) / x2) / x
-
-    return (a * math.log1p(0.5 / a) - 0.5 + 0.5 * math.log(a)
-            + stirling_remainder(a + 0.5) - stirling_remainder(a))
-
-
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     """The continued fraction of I_x(a, b) (DLMF 8.17.22) by modified Lentz.
 
@@ -358,7 +339,7 @@ def _t_upper_tail(t: float, df: float) -> float:
     y = t2 / (df + t2)
     # log of x^a (1 - x)^(1/2) / B(a, 1/2)
     log_front = (-a * math.log1p(t2 / df) + 0.5 * math.log(y)
-                 + _log_gamma_ratio(a) - 0.5 * math.log(math.pi))
+                 + math.lgamma(a + 0.5) - math.lgamma(a) - 0.5 * math.log(math.pi))
     if x < (a + 1.0) / (a + 2.5):
         return 0.5 * math.exp(log_front) / a * _beta_continued_fraction(a, 0.5, x)
     # I_x(a, 1/2) = 1 - I_{1-x}(1/2, a), whose fraction converges fast here
@@ -370,8 +351,8 @@ def student_t_quantile(p: float, df: float) -> float:
     degrees of freedom.
 
     Bisects the upper tail down to adjacent floats. Against a 40-digit
-    mpmath reference, the relative error at p = 0.975 is below 3e-14 for
-    every df from 1 to 1000, and 3e-13 at df = 10^5.
+    mpmath reference, the relative error at p = 0.975 is below 2e-13 for
+    every df from 1 to 1000, and 2.5e-12 at df = 10^4 and 10^5.
     """
     if not (0.5 < p < 1.0 and df > 0):
         raise ValueError(f"need 0.5 < p < 1 and df > 0, got p={p}, df={df}")

@@ -90,6 +90,14 @@ class TestParsing:
         assert "batch_size must be >= 2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["synth-data", "inject-noise", "run", "report"])
+    def test_jobs_below_one_is_a_config_error_for_every_command(self, tmp_path, capsys,
+                                                                command):
+        path, _ = base_config(tmp_path)
+        assert main([command, "--config", str(path), "--jobs", "0"]) == 1
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_round_trip_of_defaults(self, tmp_path):
         path, _ = base_config(tmp_path)
         cfg = load_config(path)
