@@ -1,11 +1,11 @@
 """Command-line entry point.
 
 Subcommands: ``synth-data``, ``features``, ``inject-noise``, ``run``,
-``report``. Every command is driven by a JSON config (see
-``config.CONFIG_SCHEMA``); flags override individual keys. All outputs land
-under the config's ``output_dir`` and are deterministic given the config and
-its seeds. Exit codes: 0 success, 1 config error, 2 data error, 3 numeric
-abort.
+``report``. Every command is driven by a JSON config, parsed by
+``config.parse_config`` into the dataclasses that own its sections; flags
+override individual keys. All outputs land under the config's
+``output_dir`` and are deterministic given the config and its seeds. Exit
+codes: 0 success, 1 config error, 2 data error, 3 numeric abort.
 """
 
 from __future__ import annotations

@@ -1,126 +1,29 @@
-"""Experiment configuration: JSON document, schema validation, parsing.
+"""Experiment configuration: the JSON document and its parsing.
 
-Unknown keys are rejected everywhere so typos fail before any compute.
+Each section is built straight into the dataclass that owns it, and each
+range rule lives there, beside the value it guards. Parsing rejects what
+is wrong as JSON: a section that is not an object, an unknown key (so
+typos fail before any compute), a missing required key, and a value of
+the wrong JSON type for its field (a bool is not a number, 16.0 is not an
+integer, null is never a value). Every error names its place as a
+slash-joined path such as ``train/losses/0``.
 """
 
 from __future__ import annotations
 
+import enum
+import inspect
 import json
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import jsonschema
-
-from .datasets import Subset
+from .datasets import Subset, check_synthetic
 from .errors import ConfigError
 from .features import FeatureConfig
 from .losses import LossConfig
 from .noise import NoiseSpec
-from .training import TrainConfig
-
-_LOSS_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "family": {"enum": ["cce", "soft", "lq", "mask_max", "mask_stat"]},
-        "beta": {"type": "number", "minimum": 0, "maximum": 1},
-        "q": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-        "m": {"type": "number", "minimum": 0, "maximum": 1},
-        "l": {"type": "number", "minimum": 0},
-        "selective": {"type": "boolean"},
-        "soft_full_gradient": {"type": "boolean"},
-    },
-    "required": ["family"],
-    "additionalProperties": False,
-}
-
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "dataset": {
-            "type": "object",
-            "properties": {
-                "manifest": {"type": "string"},
-                "audio_root": {"type": "string"},
-                "synthetic": {
-                    "type": "object",
-                    "properties": {
-                        "n_classes": {"type": "integer", "minimum": 2},
-                        "clips_per_class": {"type": "integer", "minimum": 2},
-                        "clean_fraction": {"type": "number",
-                                           "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                        "sample_rate": {"type": "integer", "minimum": 1},
-                        "seed": {"type": "integer"},
-                        "test_per_class": {"type": "integer", "minimum": 1},
-                    },
-                    "required": ["n_classes", "clips_per_class", "clean_fraction",
-                                 "sample_rate", "seed"],
-                    "additionalProperties": False,
-                },
-            },
-            "additionalProperties": False,
-        },
-        "features": {
-            "type": "object",
-            "properties": {
-                "sample_rate": {"type": "integer", "minimum": 1},
-                "fft_size": {"type": "integer", "minimum": 2},
-                "hop": {"type": "integer", "minimum": 1},
-                "window": {"enum": ["hann"]},
-                "n_mels": {"type": "integer", "minimum": 1},
-                "fmin": {"type": "number", "minimum": 0},
-                "fmax": {"type": "number", "exclusiveMinimum": 0},
-                "log_floor": {"type": "number", "exclusiveMinimum": 0},
-                "patch_seconds": {"type": "number", "exclusiveMinimum": 0},
-                "cache_dir": {"type": "string"},
-            },
-            "additionalProperties": False,
-        },
-        "noise": {
-            "type": "object",
-            "properties": {
-                "p_incorrect_oov": {"type": "number", "minimum": 0, "maximum": 1},
-                "p_incomplete_oov": {"type": "number", "minimum": 0, "maximum": 1},
-                "p_incorrect_iv": {"type": "number", "minimum": 0, "maximum": 1},
-                "p_incomplete_iv": {"type": "number", "minimum": 0, "maximum": 1},
-                "p_density": {"type": "number", "minimum": 0, "maximum": 1},
-                "seed": {"type": "integer"},
-            },
-            "additionalProperties": False,
-        },
-        "train": {
-            "type": "object",
-            "properties": {
-                "batch_size": {"type": "integer"},  # TrainConfig checks the range
-                "initial_lr": {"type": "number", "exclusiveMinimum": 0},
-                "plateau_window": {"type": "integer", "minimum": 1},
-                "patience": {"type": "integer", "minimum": 1},
-                "val_fraction": {"type": "number",
-                                 "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "max_epochs": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer"},
-                "n_runs": {"type": "integer", "minimum": 2},
-                "subsets": {
-                    "type": "array",
-                    "items": {"enum": ["all", "noisy", "noisy_small", "clean"]},
-                    "minItems": 1,
-                },
-                "losses": {"type": "array", "items": _LOSS_SCHEMA, "minItems": 1},
-                "channels": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 1},
-                    "minItems": 1,
-                },
-                "kernel_size": {"type": "integer", "minimum": 1},
-            },
-            "required": ["subsets", "losses"],
-            "additionalProperties": False,
-        },
-        "output_dir": {"type": "string"},
-    },
-    "required": ["dataset", "features", "train", "output_dir"],
-    "additionalProperties": False,
-}
+from .training import TrainConfig, check_n_runs
 
 
 @dataclass
@@ -153,50 +56,121 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(raw, base_dir=path.parent)
 
 
+# The JSON kind of a field's Python type: its name and its test.
+_JSON_KINDS = {
+    bool: ("a boolean", lambda v: isinstance(v, bool)),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    dict: ("an object", lambda v: isinstance(v, dict)),
+    list: ("an array", lambda v: isinstance(v, list)),
+    tuple: ("an array", lambda v: isinstance(v, list)),
+}
+
+
+def _invalid(where: str, reason) -> ConfigError:
+    return ConfigError(f"config invalid at {where or '(root)'}: {reason}")
+
+
+def _check_kind(tp, value, where: str) -> None:
+    """Reject ``value`` unless it has the JSON kind of the Python type
+    ``tp``: an enum takes one of its values, a list or tuple an array whose
+    items are checked in turn. An absent key takes the field's default, so
+    ``X | None`` takes an ``X`` only."""
+    if type(None) in typing.get_args(tp):
+        tp = typing.get_args(tp)[0]
+    base, args = typing.get_origin(tp) or tp, typing.get_args(tp)
+    if issubclass(base, enum.Enum):
+        if value not in [member.value for member in base]:
+            raise _invalid(where, f"{json.dumps(value)} is not one of "
+                                  + ", ".join(member.value for member in base))
+        return
+    name, ok = _JSON_KINDS[base]
+    if not ok(value):
+        raise _invalid(where, f"{json.dumps(value)} is not {name}")
+    if base in (list, tuple):
+        for i, item in enumerate(value):
+            _check_kind(args[0], item, f"{where}/{i}")
+
+
+def _params(make) -> dict:
+    """Parameter name -> type of a dataclass or function, ``**kwargs`` aside."""
+    hints = typing.get_type_hints(make)
+    return {name: hints[name] for name, p in inspect.signature(make).parameters.items()
+            if p.kind is not p.VAR_KEYWORD}
+
+
+def _build(make, raw, where: str, keys: dict | None = None, required=None):
+    """``make(**raw)`` for the JSON object ``raw`` found at ``where``.
+
+    ``keys`` maps each key the object may hold to its Python type and
+    defaults to ``make``'s parameters; ``required`` lists the keys it must
+    hold and defaults to the parameters without a default. A ConfigError
+    or ValueError from ``make`` is re-raised with ``where`` in front.
+    """
+    if required is None:
+        required = [name for name, p in inspect.signature(make).parameters.items()
+                    if p.default is p.empty and p.kind is not p.VAR_KEYWORD]
+    keys = _params(make) if keys is None else keys
+    if not isinstance(raw, dict):
+        raise _invalid(where, f"{json.dumps(raw)} is not an object")
+    for key in raw:
+        if key not in keys:
+            raise _invalid(where, f"unknown key {key!r}")
+    for key in required:
+        if key not in raw:
+            raise _invalid(where, f"missing required key {key!r}")
+    for key, value in raw.items():
+        _check_kind(keys[key], value, f"{where}/{key}".lstrip("/"))
+    try:
+        return make(**raw)
+    except (ConfigError, ValueError) as exc:
+        raise _invalid(where, exc) from exc
+
+
+def _features(cache_dir: str | None = None, **fields) -> tuple[FeatureConfig, str | None]:
+    """The features section: FeatureConfig plus where to cache features."""
+    return FeatureConfig(**fields), cache_dir
+
+
+def _train(subsets: list[Subset], losses: list[dict], n_runs: int = 7,
+           initial_lr: float = TrainConfig.initial_lr, **fields):
+    """The train section: TrainConfig but its per-cell ``loss`` and
+    ``subset``, plus the grid of cells and the runs per cell. A zero
+    learning rate, which leaves the weights as initialised, is fine for a
+    TrainConfig but not for an experiment."""
+    if not subsets or not losses:
+        raise ConfigError("subsets and losses must be non-empty")
+    check_n_runs(n_runs)
+    if not initial_lr > 0:
+        raise ConfigError(f"initial_lr must be > 0, got {initial_lr}")
+    train = TrainConfig(initial_lr=initial_lr, **fields)
+    return train, [Subset(s) for s in subsets], losses, n_runs
+
+
+_ROOT = {"dataset": dict, "features": dict, "noise": dict, "train": dict, "output_dir": str}
+_DATASET = {"manifest": str, "audio_root": str, "synthetic": dict}
+_TRAIN = {**{key: tp for key, tp in _params(TrainConfig).items() if key not in ("loss", "subset")},
+          **_params(_train)}
+
+
 def parse_config(raw: dict, base_dir: str | Path = ".") -> ExperimentConfig:
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "(root)"
-        raise ConfigError(f"config invalid at {where}: {exc.message}") from exc
-
-    dataset = raw["dataset"]
+    root = _build(dict, raw, "", _ROOT, required=("dataset", "features", "train", "output_dir"))
+    dataset = _build(dict, root["dataset"], "dataset", _DATASET, required=())
     if ("manifest" in dataset) == ("synthetic" in dataset):
-        raise ConfigError("dataset section needs exactly one of 'manifest' or 'synthetic'")
+        raise _invalid("dataset", "needs exactly one of 'manifest' or 'synthetic'")
     if "manifest" in dataset and "audio_root" not in dataset:
-        raise ConfigError("dataset.audio_root is required with dataset.manifest")
-
-    feat_kwargs = dict(raw["features"])
-    cache_dir = feat_kwargs.pop("cache_dir", None)
-    features = FeatureConfig(**feat_kwargs)
-
-    noise = None
-    if "noise" in raw:
-        noise = NoiseSpec(**raw["noise"])
-
-    train_raw = dict(raw["train"])
-    subsets = [Subset(s) for s in train_raw.pop("subsets")]
-    losses = [LossConfig.from_dict(d) for d in train_raw.pop("losses")]
-    n_runs = train_raw.pop("n_runs", 7)
-    if "channels" in train_raw:
-        train_raw["channels"] = tuple(train_raw["channels"])
-    try:
-        train = TrainConfig(**train_raw, loss=losses[0])
-    except ValueError as exc:
-        raise ConfigError(f"config invalid at train: {exc}") from exc
-
-    return ExperimentConfig(
-        dataset=dataset,
-        features=features,
-        cache_dir=cache_dir,
-        noise=noise,
-        train=train,
-        subsets=subsets,
-        losses=losses,
-        n_runs=n_runs,
-        output_dir=Path(raw["output_dir"]),
-        base_dir=Path(base_dir),
-    )
+        raise _invalid("dataset", "audio_root is required with manifest")
+    if "synthetic" in dataset:
+        _build(check_synthetic, dataset["synthetic"], "dataset/synthetic")
+    features, cache_dir = _build(_features, root["features"], "features",
+                                 {**_params(FeatureConfig), **_params(_features)})
+    noise = _build(NoiseSpec, root["noise"], "noise") if "noise" in root else None
+    train, subsets, losses, n_runs = _build(_train, root["train"], "train", _TRAIN)
+    losses = [_build(LossConfig, item, f"train/losses/{i}", required=("family",))
+              for i, item in enumerate(losses)]
+    return ExperimentConfig(dataset, features, cache_dir, noise, train, subsets, losses, n_runs,
+                            Path(root["output_dir"]), Path(base_dir))
 
 
 def experiment_cells(

@@ -319,6 +319,23 @@ def _finish(rng, x: np.ndarray, snr_db: float | None = None) -> np.ndarray:
     return np.clip(x, -1.0, 1.0).astype(np.float32)
 
 
+def check_synthetic(n_classes: int, clips_per_class: int, clean_fraction: float,
+                    sample_rate: int, seed: int, test_per_class: int | None = None) -> None:
+    """Range rules for the arguments of ``gen_synthetic_dataset``. The
+    parameters are the keys of a config's ``dataset.synthetic`` section;
+    ``seed`` takes any integer."""
+    if n_classes < 2:
+        raise ValueError("n_classes must be >= 2")
+    if clips_per_class < 2:
+        raise ValueError("clips_per_class must be >= 2")
+    if not 0.0 < clean_fraction < 1.0:
+        raise ValueError("clean_fraction must be in (0, 1)")
+    if sample_rate <= 0:
+        raise ValueError("sample_rate must be positive")
+    if test_per_class is not None and test_per_class < 1:
+        raise ValueError("test_per_class must be >= 1")
+
+
 def gen_synthetic_dataset(
     n_classes: int,
     clips_per_class: int,
@@ -340,14 +357,8 @@ def gen_synthetic_dataset(
     Returns ``(clips, manifest, distractor_pool)`` where ``clips`` is
     aligned with ``manifest.records``.
     """
-    if n_classes < 2:
-        raise ValueError("n_classes must be >= 2")
-    if clips_per_class < 2:
-        raise ValueError("clips_per_class must be >= 2")
-    if not 0.0 < clean_fraction < 1.0:
-        raise ValueError("clean_fraction must be in (0, 1)")
-    if sample_rate <= 0:
-        raise ValueError("sample_rate must be positive")
+    check_synthetic(n_classes, clips_per_class, clean_fraction, sample_rate, seed,
+                    test_per_class)
     if test_per_class is None:
         test_per_class = max(2, _round_half_up(0.2 * clips_per_class))
 

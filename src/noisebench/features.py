@@ -42,6 +42,8 @@ class FeatureConfig:
             raise ConfigError("sample_rate must be positive")
         if self.window != "hann":
             raise ConfigError(f"unsupported window {self.window!r}")
+        if self.fft_size < 2:
+            raise ConfigError("fft_size must be >= 2")
         if not 1 <= self.hop <= self.fft_size:
             raise ConfigError("hop must satisfy 1 <= hop <= fft_size")
         if not 0 <= self.fmin < self.fmax <= self.sample_rate / 2:

@@ -39,15 +39,35 @@ class LossFamily(str, enum.Enum):
     MASK_STAT = "mask_stat"
 
 
+# The hyperparameter each robust family reads.
+_PARAMETER = {LossFamily.SOFT: "beta", LossFamily.LQ: "q",
+              LossFamily.MASK_MAX: "m", LossFamily.MASK_STAT: "l"}
+
+
+def check_parameter(name: str, value: float) -> None:
+    """Reject a robust loss hyperparameter outside its range."""
+    if name == "q":
+        if value == 0:
+            raise ConfigError("q = 0 is the cross-entropy limit; use the cce family")
+        ok, bounds = 0.0 < value <= 1.0, "in (0, 1]"
+    elif name == "l":
+        ok, bounds = value >= 0.0, ">= 0"
+    else:  # beta, m
+        ok, bounds = 0.0 <= value <= 1.0, "in [0, 1]"
+    if not ok:
+        raise ConfigError(f"{name} must be {bounds}, got {value}")
+
+
 @dataclass(frozen=True)
 class LossConfig:
     """Loss family selector with its hyperparameter.
 
     Only the parameter belonging to ``family`` is read: ``beta`` for soft
     bootstrapping, ``q`` for the lq loss, ``m`` for max-relative masking,
-    ``l`` for statistics-based masking. With ``selective`` set, clean-origin
-    samples always contribute plain cross-entropy and only noisy-origin
-    samples get the robust treatment (or are eligible for discarding).
+    ``l`` for statistics-based masking; all four must be in range. With
+    ``selective`` set, clean-origin samples always contribute plain
+    cross-entropy and only noisy-origin samples get the robust treatment
+    (or are eligible for discarding).
     """
 
     family: LossFamily = LossFamily.CCE
@@ -60,39 +80,21 @@ class LossConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "family", LossFamily(self.family))
-        if self.family is LossFamily.SOFT and not 0.0 <= self.beta <= 1.0:
-            raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
-        if self.family is LossFamily.LQ and not 0.0 < self.q <= 1.0:
-            if self.q == 0:
-                raise ConfigError("q = 0 is the cross-entropy limit; use the cce family")
-            raise ConfigError(f"q must be in (0, 1], got {self.q}")
-        if self.family is LossFamily.MASK_MAX and not 0.0 <= self.m <= 1.0:
-            raise ConfigError(f"m must be in [0, 1], got {self.m}")
-        if self.family is LossFamily.MASK_STAT and self.l < 0.0:
-            raise ConfigError(f"l must be >= 0, got {self.l}")
+        for name in _PARAMETER.values():
+            check_parameter(name, getattr(self, name))
 
     def label(self) -> str:
         """Short name for file names and report rows, e.g. ``lq_q0.7_sel``."""
-        suffix = {
-            LossFamily.CCE: "",
-            LossFamily.SOFT: f"_b{self.beta:g}",
-            LossFamily.LQ: f"_q{self.q:g}",
-            LossFamily.MASK_MAX: f"_m{self.m:g}",
-            LossFamily.MASK_STAT: f"_l{self.l:g}",
-        }[self.family]
+        name = _PARAMETER.get(self.family)
+        suffix = f"_{name[0]}{getattr(self, name):g}" if name else ""
         return self.family.value + suffix + ("_sel" if self.selective else "")
 
     def to_dict(self) -> dict:
         out = {"family": self.family.value, "selective": self.selective}
-        key = {LossFamily.SOFT: "beta", LossFamily.LQ: "q",
-               LossFamily.MASK_MAX: "m", LossFamily.MASK_STAT: "l"}.get(self.family)
-        if key:
-            out[key] = getattr(self, key)
+        name = _PARAMETER.get(self.family)
+        if name:
+            out[name] = getattr(self, name)
         return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LossConfig":
-        return cls(**data)
 
 
 def one_hot(labels, n_classes: int) -> np.ndarray:
@@ -125,8 +127,7 @@ def soft_bootstrap(probs: np.ndarray, targets: np.ndarray, beta: float,
     by default; ``full_gradient=False`` treats the blended target as a
     constant instead.
     """
-    if not 0.0 <= beta <= 1.0:
-        raise ConfigError(f"beta must be in [0, 1], got {beta}")
+    check_parameter("beta", beta)
     p = _clamped(probs)
     log_p = np.log(p)
     losses = -((beta * targets + (1 - beta) * p) * log_p).sum(axis=1)
@@ -144,10 +145,7 @@ def lq_loss(probs: np.ndarray, targets: np.ndarray, q: float) -> tuple[np.ndarra
     Unlike cross-entropy, whose gradient magnitude 1/p_true blows up on
     confidently-missed samples, q = 1 weighs every sample equally.
     """
-    if not 0.0 < q <= 1.0:
-        if q == 0:
-            raise ConfigError("q = 0 is the cross-entropy limit; use cce instead")
-        raise ConfigError(f"q must be in (0, 1], got {q}")
+    check_parameter("q", q)
     p = _clamped(probs)
     p_true = (targets * p).sum(axis=1)
     losses = (1.0 - p_true**q) / q

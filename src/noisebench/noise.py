@@ -53,9 +53,9 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name, p in self.probabilities().items():
+        for kind, p in self.probabilities().items():
             if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {p}")
+                raise ConfigError(f"p_{kind.value} must be in [0, 1], got {p}")
         if sum(self.probabilities().values()) > 1.0 + 1e-12:
             raise ConfigError("noise probabilities sum to more than 1")
 

@@ -57,8 +57,11 @@ class TrainConfig:
             )
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in (0, 1)")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
+        for name in ("max_epochs", "plateau_window", "patience", "kernel_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not self.channels or min(self.channels) < 1:
+            raise ValueError(f"channels must be non-empty, each >= 1, got {self.channels}")
         object.__setattr__(self, "subset", Subset(self.subset))
         object.__setattr__(self, "channels", tuple(self.channels))
 
@@ -429,6 +432,12 @@ def run_single(
     return RunResult(accuracy, history, network, standardizer)
 
 
+def check_n_runs(n_runs: int) -> None:
+    """A confidence interval over seeds needs two runs at least."""
+    if n_runs < 2:
+        raise ValueError("n_runs must be >= 2")
+
+
 def run_experiment(
     clips: list[AudioClip],
     manifest: DatasetManifest,
@@ -440,8 +449,7 @@ def run_experiment(
 ) -> RunReport:
     """Repeat run_single with seeds cfg.seed, cfg.seed + 1, ... and report
     the mean accuracy with its 95% confidence interval."""
-    if n_runs < 2:
-        raise ValueError("n_runs must be >= 2")
+    check_n_runs(n_runs)
     if features is None:
         features = precompute_features(clips, feat_cfg)
     accuracies: list[float] = []

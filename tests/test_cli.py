@@ -1,8 +1,12 @@
 """End-to-end CLI behavior on a miniature synthetic dataset."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,8 +106,211 @@ class TestParsing:
         path, _ = base_config(tmp_path)
         cfg = load_config(path)
         assert cfg.n_runs == 2
-        assert cfg.train.loss.family.value == "cce"
+        assert cfg.losses == [LossConfig()]
+        assert cfg.train.loss == LossConfig()  # its own default; each cell sets its loss
         assert cfg.features.fmax == 1000.0
+
+    @pytest.mark.parametrize("section,key", [
+        ("train", "batch_size"), ("features", "n_mels"), ("train", "max_epochs"),
+        ("train", "n_runs"),
+    ])
+    def test_integral_float_is_not_an_integer(self, tmp_path, capsys, section, key):
+        # 16.0 used to pass as an integer and crash in range() or np.linspace
+        # after feature extraction had started.
+        path, cfg = base_config(tmp_path)
+        cfg[section][key] = float(cfg[section][key])
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 1
+        assert f"config invalid at {section}/{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_importing_the_cli_loads_no_jsonschema(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, noisebench.cli; print('jsonschema' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True, timeout=120)
+        assert done.stdout.strip() == "False"
+
+
+DROP = object()  # a mutation value that deletes the key
+
+# Every key of the config document: its path, its JSON kind, values just
+# inside its range and values just outside it. Against the base document
+# above: sample_rate 2000 (so fmax <= 1000), fft_size 128, hop 64.
+_FIELDS = [
+    (("dataset", "manifest"), "string", [], ["m.csv"]),  # synthetic is already there
+    (("dataset", "audio_root"), "string", ["audio"], []),
+    (("dataset", "synthetic", "n_classes"), "integer", [2], [1]),
+    (("dataset", "synthetic", "clips_per_class"), "integer", [2], [1]),
+    (("dataset", "synthetic", "clean_fraction"), "number", [0.01, 0.99], [0, 1]),
+    (("dataset", "synthetic", "sample_rate"), "integer", [1], [0]),
+    (("dataset", "synthetic", "seed"), "integer", [-1], []),
+    (("dataset", "synthetic", "test_per_class"), "integer", [1], [0]),
+    (("features", "sample_rate"), "integer", [1], [0]),
+    (("features", "fft_size"), "integer", [64, 129], [63]),
+    (("features", "hop"), "integer", [1, 128], [0, 129]),
+    (("features", "window"), "enum", ["hann"], ["hamming"]),
+    (("features", "n_mels"), "integer", [1], [0]),
+    (("features", "fmin"), "number", [0, 999.5], [-0.5, 1000]),
+    (("features", "fmax"), "number", [0.5, 1000], [0, 1000.5]),
+    (("features", "log_floor"), "number", [1e-300], [0, -1]),
+    (("features", "patch_seconds"), "number", [0.01], [0]),
+    (("features", "cache_dir"), "string", ["cache"], []),
+    *[(("noise", key), "number", [0, 1], [-0.01, 1.01])
+      for key in ("p_incorrect_oov", "p_incomplete_oov", "p_incorrect_iv",
+                  "p_incomplete_iv", "p_density")],
+    (("noise", "seed"), "integer", [-1], []),
+    (("train", "batch_size"), "integer", [2], [1]),
+    (("train", "initial_lr"), "number", [1e-9], [0, -0.1]),
+    (("train", "plateau_window"), "integer", [1], [0]),
+    (("train", "patience"), "integer", [1], [0]),
+    (("train", "val_fraction"), "number", [0.01, 0.99], [0, 1]),
+    (("train", "max_epochs"), "integer", [1], [0]),
+    (("train", "seed"), "integer", [-1], []),
+    (("train", "n_runs"), "integer", [2], [1]),
+    (("train", "subsets"), "array", [["clean", "noisy", "noisy_small", "all"]],
+     [[], ["everything"], ["all", 1]]),
+    (("train", "losses"), "array", [], [[], ["cce"]]),
+    (("train", "channels"), "array", [[1, 1, 1]], [[], [0, 1, 1], [1, "2", 3], [1, True, 3]]),
+    (("train", "kernel_size"), "integer", [1], [0]),
+    (("train", "losses", 0, "family"), "enum",
+     ["cce", "soft", "lq", "mask_max", "mask_stat"], ["huber"]),
+    (("train", "losses", 0, "beta"), "number", [0, 1], [-0.01, 1.01]),
+    (("train", "losses", 0, "q"), "number", [1e-9, 1], [0, -0.1, 1.01]),
+    (("train", "losses", 0, "m"), "number", [0, 1], [-0.01, 1.01]),
+    (("train", "losses", 0, "l"), "number", [0, 100], [-0.01]),
+    (("train", "losses", 0, "selective"), "boolean", [True, False], []),
+    (("train", "losses", 0, "soft_full_gradient"), "boolean", [False], []),
+    (("output_dir",), "string", [], []),
+]
+
+# One value of every JSON kind but the field's own: string, bool, list, null.
+_WRONG_KIND = {
+    "integer": ["3", True, [3], None, 2.5],
+    "number": ["0.5", False, [0.5], None],
+    "string": [3, True, ["x"], None],
+    "enum": [3, True, ["hann"], None],
+    "boolean": ["true", 1, [True], None],
+    "array": ["all", True, {"0": 1}, None],
+}
+
+_SECTIONS = [("dataset",), ("dataset", "synthetic"), ("features",), ("noise",), ("train",),
+             ("train", "losses", 0)]
+
+
+def _corpus():
+    """(id, changes, place, key): ``changes`` maps key paths to new values;
+    ``place`` is the section a rejection must name (None: the document is
+    valid) and ``key`` the key its message must name, if any."""
+    cases = []
+
+    def add(changes, place, key=None, name=None):
+        (first, value), = changes.items() if name is None else [(None, None)]
+        cases.append(pytest.param(changes, place, key,
+                                  id=name or f"{'/'.join(map(str, first))}={json.dumps(value)}"))
+
+    for keys, kind, inside, outside in _FIELDS:
+        place = "/".join(map(str, keys[:-1])) or "(root)"
+        for value in inside:
+            add({keys: value}, None)
+        for value in outside:
+            add({keys: value}, place, keys[-1])
+        for value in _WRONG_KIND[kind]:
+            add({keys: value}, "/".join(map(str, keys)), keys[-1])
+    for keys in _SECTIONS:
+        place = "/".join(map(str, keys))
+        add({keys + ("bogus",): 1}, place, "bogus")
+        for value in (3, "x", [], None):
+            add({keys: value}, place, name=f"{place}={json.dumps(value)}")
+    add({("bogus",): 1}, "(root)", "bogus")
+    for keys in [("dataset",), ("features",), ("train",), ("output_dir",),
+                 *[("dataset", "synthetic", k) for k in
+                   ("n_classes", "clips_per_class", "clean_fraction", "sample_rate", "seed")],
+                 ("train", "subsets"), ("train", "losses"), ("train", "losses", 0, "family")]:
+        place = "/".join(map(str, keys[:-1])) or "(root)"
+        add({keys: DROP}, place, keys[-1], name=f"missing {'/'.join(map(str, keys))}")
+    for changes, place, key, name in [
+        ({("features", "fft_size"): 2, ("features", "hop"): 2}, None, None, "fft_size=2"),
+        ({("features", "fft_size"): 1, ("features", "hop"): 1}, "features", "fft_size",
+         "fft_size=1"),
+        ({("noise", "p_incorrect_oov"): 0.6, ("noise", "p_incomplete_oov"): 0.4}, None, None,
+         "noise sums to 1"),
+        ({("noise", "p_incorrect_oov"): 0.6, ("noise", "p_incomplete_oov"): 0.5}, "noise",
+         None, "noise sums past 1"),
+        *[({("train", "losses", 0, "family"): family, ("train", "losses", 0, key): value},
+           None if ok else "train/losses/0", None if ok else key, f"{family} {key}={value}")
+          for family, key, values in [("soft", "beta", [(0, 1), (1, 1), (1.5, 0)]),
+                                      ("lq", "q", [(1, 1), (0, 0), (-1, 0)]),
+                                      ("mask_max", "m", [(0, 1), (1, 1), (2, 0)]),
+                                      ("mask_stat", "l", [(0, 1), (-1, 0)])]
+          for value, ok in values],
+        ({("train", "losses"): [{"family": "cce"}, {"family": "lq", "q": 0.5}]}, None, None,
+         "two losses"),
+        ({("train", "losses"): [{"family": "cce"}, {"family": "lq", "q": 2}]},
+         "train/losses/1", "q", "second loss q=2"),
+    ]:
+        add(changes, place, key, name=name)
+    return cases
+
+
+def _mutated(tmp_path, changes):
+    path, cfg = base_config(tmp_path)
+    for keys, value in changes.items():
+        *parents, last = keys
+        node = cfg
+        for k in parents:
+            node = node.setdefault(k, {}) if isinstance(node, dict) else node[k]
+        if value is DROP:
+            del node[last]
+        else:
+            node[last] = value
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    return path
+
+
+def _parsed(cfg, keys):
+    """The value that ``keys`` of the document parsed into."""
+    section, key = keys[0], keys[-1]
+    if section == "dataset":
+        node = cfg.dataset
+        for k in keys[1:]:
+            node = node[k]
+        return node
+    if keys[:3] == ("train", "losses", 0):
+        value = getattr(cfg.losses[0], key)
+    elif keys == ("features", "cache_dir"):
+        value = cfg.cache_dir
+    elif keys in (("train", "n_runs"), ("train", "subsets")):
+        value = getattr(cfg, key)
+    else:
+        value = getattr(getattr(cfg, section), key)
+    if isinstance(value, (list, tuple)):
+        return [getattr(v, "value", v) for v in value]
+    return getattr(value, "value", value)
+
+
+class TestRejectionParity:
+    """Each document below that a JSON Schema version of the config
+    rejected is rejected before any compute, naming where; every other one
+    parses, with the changed values where they belong."""
+
+    @pytest.mark.parametrize("changes,place,key", _corpus())
+    def test_document(self, tmp_path, capsys, changes, place, key):
+        path = _mutated(tmp_path, changes)
+        if place is None:
+            cfg = load_config(path)
+            for keys, value in changes.items():
+                if keys[-1] not in ("losses", "audio_root"):
+                    assert _parsed(cfg, keys) == value
+            return
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"config invalid at {place}" in err
+        if key is not None:
+            assert key in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestHelp:

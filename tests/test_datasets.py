@@ -190,6 +190,9 @@ class TestGenSynthetic:
             gen_synthetic_dataset(1, 8, 0.15, 8000, seed=0)
         with pytest.raises(ValueError):
             gen_synthetic_dataset(4, 8, 0.0, 8000, seed=0)
+        # No test split: the manifest would fail much later, in training.
+        with pytest.raises(ValueError, match="test_per_class"):
+            gen_synthetic_dataset(2, 8, 0.5, 8000, seed=0, test_per_class=0)
 
 
 class TestWavIO:
