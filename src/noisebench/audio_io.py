@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
+from .fileio import atomic_write
 
 
 @dataclass
@@ -59,11 +60,9 @@ def read_wav(path: str | Path, clip_id: str | None = None) -> AudioClip:
 
 def write_wav(path: str | Path, clip: AudioClip) -> None:
     """Write a clip as mono 16-bit PCM WAV, clipping amplitudes to [-1, 1]."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     scaled = np.round(np.clip(clip.samples, -1.0, 1.0) * 32768.0)
     pcm = np.clip(scaled, -32768, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as wav:
+    with atomic_write(path) as fh, wave.open(fh, "wb") as wav:
         wav.setnchannels(1)
         wav.setsampwidth(2)
         wav.setframerate(clip.sample_rate)

@@ -23,10 +23,11 @@ from .errors import ConfigError, DataError, NumericError
 from .features import (
     extract_logmel,
     feature_cache_matches,
+    feature_cache_path,
     load_feature_cache,
     save_feature_cache,
 )
-from .fileio import atomic_csv_writer
+from .fileio import atomic_csv_writer, atomic_write
 from .layers import save_checkpoint
 from .noise import corrupt_noisy_train, format_noise_report, noise_report
 from .plots import line_plot_svg
@@ -38,8 +39,9 @@ from .training import (
 )
 
 
-def _load_dataset(cfg: config_mod.ExperimentConfig):
-    """Returns (clips, manifest, distractor_pool)."""
+def _load_dataset(cfg: config_mod.ExperimentConfig, decode: bool = True):
+    """Returns (clips, manifest, distractor_pool). With ``decode`` False, a
+    manifest's WAV files are not read and ``clips`` is empty."""
     if "synthetic" in cfg.dataset:
         return gen_synthetic_dataset(**cfg.dataset["synthetic"])
     manifest = load_manifest(
@@ -48,8 +50,16 @@ def _load_dataset(cfg: config_mod.ExperimentConfig):
     clips = [
         read_wav(manifest.audio_root / rec.clip_id, rec.clip_id)
         for rec in manifest.records
-    ]
+    ] if decode else []
     return clips, manifest, []
+
+
+def _cache_sources(cfg: config_mod.ExperimentConfig, manifest, clips) -> dict:
+    """Clip id -> what its log-mel is extracted from: the clip itself for a
+    synthetic dataset, else the WAV file it is read from."""
+    if "synthetic" in cfg.dataset:
+        return {clip.clip_id: clip for clip in clips}
+    return {rec.clip_id: manifest.audio_root / rec.clip_id for rec in manifest.records}
 
 
 def _apply_noise(cfg, clips, manifest, pool):
@@ -74,60 +84,49 @@ def cmd_synth_data(cfg: config_mod.ExperimentConfig, args) -> int:
     return 0
 
 
-def _cache_path(cache_dir: Path, clip_id: str) -> Path:
-    return cache_dir / (Path(clip_id).stem + ".lmf")
+def _feature_job(item) -> str | None:
+    """Extract one clip's log-mel into its cache file, reading a WAV source
+    here, in the worker. Returns the message of an unreadable WAV."""
+    clip_id, source, cache_path, feat_cfg = item
+    if isinstance(source, Path):
+        try:
+            source = read_wav(source, clip_id)
+        except DataError as exc:
+            return str(exc)
+    save_feature_cache(cache_path, extract_logmel(source, feat_cfg))
+    return None
 
 
-def _feature_job(item):
-    clip, cache_path, feat_cfg = item
-    save_feature_cache(cache_path, extract_logmel(clip, feat_cfg))
+def _refresh_cache(sources: dict, cache_dir: Path, feat_cfg, jobs: int, force: bool):
+    """Bring the cache file of every clip in ``sources`` (see _cache_sources)
+    up to date, with up to ``jobs`` worker processes.
+
+    A file is recomputed when ``force`` is set or feature_cache_matches
+    rejects it, a clip read from a WAV file being checked against that
+    file. Returns (clip id -> cache path, number of files recomputed or
+    failed, messages of the WAVs that could not be read).
+    """
+    paths, stale = {}, []
+    for clip_id, source in sources.items():
+        path = paths[clip_id] = feature_cache_path(cache_dir, clip_id)
+        wav = source if isinstance(source, Path) else None
+        if force or not feature_cache_matches(path, feat_cfg, wav):
+            stale.append((clip_id, source, path, feat_cfg))
+    if jobs > 1 and len(stale) > 1:
+        with multiprocessing.Pool(min(jobs, len(stale))) as pool:
+            errors = pool.map(_feature_job, stale)
+    else:
+        errors = [_feature_job(item) for item in stale]
+    return paths, len(stale), [message for message in errors if message]
 
 
 def cmd_features(cfg: config_mod.ExperimentConfig, args) -> int:
-    cache_dir = Path(cfg.resolve(cfg.cache_dir) if cfg.cache_dir
-                     else Path(args.output or cfg.output_dir) / "features")
-    cache_dir.mkdir(parents=True, exist_ok=True)
-
-    jobs: list[tuple] = []
-    errors: list[str] = []
-    skipped = 0
-    if "synthetic" in cfg.dataset:
-        clips, _, _ = gen_synthetic_dataset(**cfg.dataset["synthetic"])
-        for clip in clips:
-            cache_path = _cache_path(cache_dir, clip.clip_id)
-            if not args.force and feature_cache_matches(cache_path, cfg.features):
-                skipped += 1
-                continue
-            jobs.append((clip, cache_path, cfg.features))
-    else:
-        manifest = load_manifest(
-            cfg.resolve(cfg.dataset["manifest"]), cfg.resolve(cfg.dataset["audio_root"])
-        )
-        for rec in manifest.records:
-            wav_path = manifest.audio_root / rec.clip_id
-            cache_path = _cache_path(cache_dir, rec.clip_id)
-            if (
-                not args.force
-                and wav_path.exists()
-                and feature_cache_matches(cache_path, cfg.features)
-                and cache_path.stat().st_mtime >= wav_path.stat().st_mtime
-            ):
-                skipped += 1
-                continue
-            try:
-                clip = read_wav(wav_path, rec.clip_id)
-            except DataError as exc:
-                errors.append(str(exc))
-                continue
-            jobs.append((clip, cache_path, cfg.features))
-
-    if args.jobs > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(min(args.jobs, len(jobs))) as pool:
-            pool.map(_feature_job, jobs)
-    else:
-        for job in jobs:
-            _feature_job(job)
-    print(f"features: {len(jobs)} computed, {skipped} up to date, "
+    cache_dir = (cfg.resolve(cfg.cache_dir) if cfg.cache_dir
+                 else Path(args.output or cfg.output_dir) / "features")
+    clips, manifest, _ = _load_dataset(cfg, decode=False)
+    paths, n_stale, errors = _refresh_cache(_cache_sources(cfg, manifest, clips), cache_dir,
+                                            cfg.features, args.jobs, args.force)
+    print(f"features: {n_stale - len(errors)} computed, {len(paths) - n_stale} up to date, "
           f"{len(errors)} failed -> {cache_dir}")
     for message in errors:
         print(f"error: {message}", file=sys.stderr)
@@ -150,56 +149,46 @@ def cmd_inject_noise(cfg: config_mod.ExperimentConfig, args) -> int:
     log.write_csv(out / "provenance.csv")
     report = noise_report(log)
     text = format_noise_report(report)
-    (out / "noise_report.txt").write_text(text + "\n", encoding="utf-8")
+    with atomic_write(out / "noise_report.txt") as fh:
+        fh.write((text + "\n").encode("utf-8"))
     print(text)
     print(f"wrote corrupted dataset ({len(log)} records logged) to {out}")
     return 0
 
 
-def _load_features(cfg, clips, uncached=frozenset()):
-    """Per-clip log-mels, from the cache directory when a file there matches
-    the feature config; missing or stale files are computed and written.
-
-    Clips named in ``uncached`` are extracted fresh and their cache files
-    neither read nor written: the cache is keyed by clip id alone, so it
-    cannot tell corrupted audio from the clean clip of the same id.
-    """
-    features = {}
-    cache_dir = Path(cfg.resolve(cfg.cache_dir)) if cfg.cache_dir else None
-    for clip in clips:
-        cache_path = None
-        if cache_dir is not None and clip.clip_id not in uncached:
-            cache_path = _cache_path(cache_dir, clip.clip_id)
-        if cache_path is not None and feature_cache_matches(cache_path, cfg.features):
-            features[clip.clip_id] = load_feature_cache(cache_path, clip.clip_id)
-        else:
-            matrix = extract_logmel(clip, cfg.features)
-            if cache_path is not None:
-                save_feature_cache(cache_path, matrix)
-                matrix = load_feature_cache(cache_path, clip.clip_id)
-            features[clip.clip_id] = matrix
-    return features
+def _load_features(cfg, clips, sources: dict, args):
+    """Per-clip log-mels. Clips in ``sources`` are read from their cache
+    files, which _refresh_cache brings up to date first; any other clip is
+    extracted here, and no cache file of it is read or written."""
+    cache_dir = cfg.resolve(cfg.cache_dir) if cfg.cache_dir else None
+    paths, _, errors = _refresh_cache(sources, cache_dir, cfg.features, args.jobs, args.force)
+    if errors:
+        raise DataError(errors[0])
+    return {
+        clip.clip_id: load_feature_cache(paths[clip.clip_id], clip.clip_id)
+        if clip.clip_id in paths else extract_logmel(clip, cfg.features)
+        for clip in clips
+    }
 
 
 def cmd_run(cfg: config_mod.ExperimentConfig, args) -> int:
     clips, manifest, pool = _load_dataset(cfg)
-    corrupted = set()
+    sources = _cache_sources(cfg, manifest, clips) if cfg.cache_dir else {}
     if cfg.noise is not None:
         noisy_clips, manifest, _ = _apply_noise(cfg, clips, manifest, pool)
-        corrupted = {new.clip_id for old, new in zip(clips, noisy_clips) if new is not old}
+        # The cache is keyed by clip id, which a corrupted clip keeps: a clip
+        # whose audio the injector changed bypasses it.
+        for old, new in zip(clips, noisy_clips):
+            if new is not old:
+                sources.pop(new.clip_id, None)
         clips = noisy_clips
-    features = _load_features(cfg, clips, corrupted)
+    features = _load_features(cfg, clips, sources, args)
     out = Path(args.output or cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    train_cfg = cfg.train
-    if args.seed is not None:
-        train_cfg = dataclasses.replace(train_cfg, seed=args.seed)
 
     curve_series = []
     for subset, loss in config_mod.experiment_cells(cfg.subsets, cfg.losses):
         cell = f"{subset.value}_{loss.label()}"
-        cell_cfg = dataclasses.replace(train_cfg, subset=subset, loss=loss)
+        cell_cfg = dataclasses.replace(cfg.train, subset=subset, loss=loss)
         histories = {}
 
         def on_run(i, run_cfg, result, cell=cell, histories=histories):
@@ -276,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--force", action="store_true",
                        help="recompute outputs that look up to date")
-        p.add_argument("--jobs", type=int, default=1, help="worker process cap")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker process cap for feature extraction")
         p.add_argument("--seed", type=int, default=None,
                        help="override the training seed from the config")
         p.add_argument("--output", default=None,
@@ -290,6 +280,11 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         cfg = config_mod.load_config(args.config)
+        if args.seed is not None:
+            try:
+                cfg.train = dataclasses.replace(cfg.train, seed=args.seed)
+            except ValueError as exc:
+                raise ConfigError(f"--seed: {exc}") from None
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

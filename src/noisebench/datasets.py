@@ -20,6 +20,7 @@ import numpy as np
 
 from .audio_io import AudioClip, wav_duration
 from .errors import DataError, ManifestError
+from .fileio import atomic_csv_writer
 
 
 class Origin(str, enum.Enum):
@@ -65,20 +66,6 @@ class DatasetManifest:
 
     def test_records(self) -> list[LabelRecord]:
         return [r for r in self.records if r.split is Split.TEST]
-
-    def validate(self) -> None:
-        seen = set()
-        for rec in self.records:
-            if rec.clip_id in seen:
-                raise ManifestError(f"duplicate clip_id {rec.clip_id!r}")
-            seen.add(rec.clip_id)
-            if not 0 <= rec.class_index < self.n_classes:
-                raise ManifestError(
-                    f"clip {rec.clip_id!r}: class_index {rec.class_index} outside "
-                    f"[0, {self.n_classes})"
-                )
-            if rec.split is Split.TEST and rec.origin is not Origin.CLEAN:
-                raise ManifestError(f"clip {rec.clip_id!r}: test records must be clean")
 
 
 _REQUIRED_COLUMNS = ("fname", "label", "manually_verified", "split")
@@ -143,9 +130,7 @@ def load_manifest(path: str | Path, audio_root: str | Path) -> DatasetManifest:
             )
         )
 
-    manifest = DatasetManifest(records, train_labels, Path(audio_root))
-    manifest.validate()
-    return manifest
+    return DatasetManifest(records, train_labels, Path(audio_root))
 
 
 def clip_durations(clips: list[AudioClip]) -> dict[str, float]:
@@ -156,7 +141,6 @@ def _noisy_small_records(
     train: list[LabelRecord],
     n_classes: int,
     durations: dict[str, float],
-    per_class_budget: float | None,
 ) -> list[LabelRecord]:
     # Pre-marked records win over duration matching.
     marked = [r for r in train if r.noisy_small]
@@ -173,10 +157,10 @@ def _noisy_small_records(
 
     chosen: set[str] = set()
     for k in range(n_classes):
-        target = per_class_budget if per_class_budget is not None else clean_dur[k]
+        target = clean_dur[k]
         # Prefix (in manifest order) whose total duration is closest to the
-        # target; ties go to the shorter prefix.
-        best_n, best_err, total = 0, abs(target), 0.0
+        # clean duration; ties go to the shorter prefix.
+        best_n, best_err, total = 0, target, 0.0
         for n, rec in enumerate(noisy_by_class[k], start=1):
             total += durations[rec.clip_id]
             err = abs(total - target)
@@ -190,16 +174,15 @@ def select_subset(
     manifest: DatasetManifest,
     subset: Subset,
     durations: dict[str, float] | None = None,
-    per_class_budget: float | None = None,
 ) -> DatasetManifest:
     """Return the training subset of a manifest (test records are dropped).
 
     ``noisy_small`` uses the manifest's marker column when present, otherwise
     a deterministic per-class prefix of the noisy records whose duration is
-    closest to the clean subset's per-class duration (or to an explicit
-    ``per_class_budget`` in seconds). Durations come from ``durations`` or
-    from the WAV headers under ``audio_root``. Records selected by duration
-    matching are returned with the marker set, so re-selection is idempotent.
+    closest to the clean subset's per-class duration. Durations come from
+    ``durations`` or from the WAV headers under ``audio_root``. Records
+    selected by duration matching are returned with the marker set, so
+    re-selection is idempotent.
     """
     subset = Subset(subset)
     train = manifest.train_records()
@@ -218,9 +201,7 @@ def select_subset(
             missing = [r.clip_id for r in train if r.clip_id not in durations]
             if missing:
                 raise DataError(f"no duration known for clips: {missing[:5]}")
-        selected = _noisy_small_records(
-            train, manifest.n_classes, durations or {}, per_class_budget
-        )
+        selected = _noisy_small_records(train, manifest.n_classes, durations or {})
     if not selected:
         raise DataError(f"subset {subset.value!r} is empty for this manifest")
     return DatasetManifest(selected, list(manifest.class_names), manifest.audio_root)
@@ -322,8 +303,7 @@ def _finish(rng, x: np.ndarray, snr_db: float | None = None) -> np.ndarray:
 def check_synthetic(n_classes: int, clips_per_class: int, clean_fraction: float,
                     sample_rate: int, seed: int, test_per_class: int | None = None) -> None:
     """Range rules for the arguments of ``gen_synthetic_dataset``. The
-    parameters are the keys of a config's ``dataset.synthetic`` section;
-    ``seed`` takes any integer."""
+    parameters are the keys of a config's ``dataset.synthetic`` section."""
     if n_classes < 2:
         raise ValueError("n_classes must be >= 2")
     if clips_per_class < 2:
@@ -334,6 +314,8 @@ def check_synthetic(n_classes: int, clips_per_class: int, clean_fraction: float,
         raise ValueError("sample_rate must be positive")
     if test_per_class is not None and test_per_class < 1:
         raise ValueError("test_per_class must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def gen_synthetic_dataset(
@@ -343,7 +325,6 @@ def gen_synthetic_dataset(
     sample_rate: int,
     seed: int,
     test_per_class: int | None = None,
-    duration_range: tuple[float, float] = (0.5, 6.0),
     snr_db: float | None = None,
 ) -> tuple[list[AudioClip], DatasetManifest, list[AudioClip]]:
     """Generate a deterministic toy dataset plus an out-of-vocabulary pool.
@@ -364,13 +345,12 @@ def gen_synthetic_dataset(
 
     rng = np.random.default_rng(seed)
     n_clean = _round_half_up(clean_fraction * clips_per_class)
-    lo, hi = duration_range
 
     clips: list[AudioClip] = []
     records: list[LabelRecord] = []
 
     def make_clip(clip_id: str, class_index: int) -> AudioClip:
-        n = int(rng.uniform(lo, hi) * sample_rate)
+        n = int(rng.uniform(0.5, 6.0) * sample_rate)
         x = _finish(rng, _class_waveform(rng, sample_rate, n, class_index), snr_db)
         return AudioClip(x, sample_rate, clip_id)
 
@@ -389,21 +369,16 @@ def gen_synthetic_dataset(
     distractors: list[AudioClip] = []
     n_distractors = max(8, n_classes * clips_per_class // 4)
     for i in range(n_distractors):
-        n = int(rng.uniform(lo, hi) * sample_rate)
+        n = int(rng.uniform(0.5, 6.0) * sample_rate)
         x = _finish(rng, _distractor_waveform(rng, sample_rate, n, i), snr_db)
         distractors.append(AudioClip(x, sample_rate, f"distractor_{i:04d}.wav"))
 
     class_names = [f"class_{k:02d}" for k in range(n_classes)]
-    manifest = DatasetManifest(records, class_names)
-    manifest.validate()
-    return clips, manifest, distractors
+    return clips, DatasetManifest(records, class_names), distractors
 
 
 def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+    with atomic_csv_writer(path) as writer:
         writer.writerow(["fname", "label", "manually_verified", "split", "noisy_small"])
         for rec in manifest.records:
             writer.writerow(

@@ -10,6 +10,7 @@ patches with the trailing remainder discarded.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -52,8 +53,11 @@ class FeatureConfig:
             raise ConfigError("n_mels must be >= 1")
         if self.log_floor <= 0:
             raise ConfigError("log_floor must be positive")
-        if self.patch_seconds <= 0:
-            raise ConfigError("patch_seconds must be positive")
+        if not math.isfinite(self.patch_seconds):
+            raise ConfigError(f"patch_seconds must be finite, got {self.patch_seconds}")
+        if self.patch_frames < 1:
+            raise ConfigError(f"patch_seconds {self.patch_seconds} rounds to 0 frames at "
+                              f"sample_rate / hop = {self.sample_rate} / {self.hop}")
 
     @property
     def frame_rate(self) -> float:
@@ -178,10 +182,7 @@ def extract_logmel(clip: AudioClip, cfg: FeatureConfig) -> LogMelMatrix:
 
 def patch_count(n_frames: int, cfg: FeatureConfig) -> int:
     """How many patches patchify cuts from n_frames frames."""
-    n_patch = cfg.patch_frames
-    if n_patch < 1:
-        raise ConfigError("patch_frames must be >= 1; increase patch_seconds or frame rate")
-    return max(1, n_frames // n_patch)
+    return max(1, n_frames // cfg.patch_frames)
 
 
 def patchify(matrix: LogMelMatrix, label: int, cfg: FeatureConfig) -> list[LogMelPatch]:
@@ -229,16 +230,25 @@ def _read_header(fh, path: Path) -> tuple[int, int, float]:
     return _CACHE_HEADER.unpack(header)
 
 
-def feature_cache_matches(path: str | Path, cfg: FeatureConfig) -> bool:
-    """Whether a cache file exists at path with cfg's n_mels and float32
-    frame rate.
+def feature_cache_path(cache_dir: str | Path, clip_id: str) -> Path:
+    """Where a clip's log-mel is cached: its id's stem plus ``.lmf``."""
+    return Path(cache_dir) / (Path(clip_id).stem + ".lmf")
 
-    Only the 12-byte header is read; a missing file, or one written under
-    other settings, should be (re)computed. A header cut short is a
-    DataError.
+
+def feature_cache_matches(path: str | Path, cfg: FeatureConfig,
+                          source: str | Path | None = None) -> bool:
+    """Whether a cache file exists at path with cfg's n_mels and float32
+    frame rate, and, for a clip read from the WAV file ``source``, is not
+    older than that file.
+
+    Only the 12-byte header is read; a missing file, one written under
+    other settings, or one older than its WAV (or whose WAV is missing)
+    should be (re)computed. A header cut short is a DataError.
     """
     path = Path(path)
     try:
+        if source is not None and os.stat(source).st_mtime > os.stat(path).st_mtime:
+            return False
         fh = path.open("rb")
     except FileNotFoundError:
         return False

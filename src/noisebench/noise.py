@@ -30,6 +30,7 @@ import numpy as np
 from .audio_io import AudioClip
 from .datasets import DatasetManifest, LabelRecord, Origin, Split
 from .errors import ConfigError, DataError
+from .fileio import atomic_csv_writer
 
 
 class NoiseType(str, enum.Enum):
@@ -58,6 +59,8 @@ class NoiseSpec:
                 raise ConfigError(f"p_{kind.value} must be in [0, 1], got {p}")
         if sum(self.probabilities().values()) > 1.0 + 1e-12:
             raise ConfigError("noise probabilities sum to more than 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def probabilities(self) -> dict[NoiseType, float]:
         return {
@@ -91,10 +94,7 @@ class ProvenanceLog:
         return len(self.entries)
 
     def write_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
+        with atomic_csv_writer(path) as writer:
             writer.writerow(["clip_id", "noise_type", "original_label", "source_clip_ids"])
             for clip_id, entry in self.entries.items():
                 writer.writerow(

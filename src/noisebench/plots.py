@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .fileio import atomic_write
+
 _PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
@@ -104,6 +106,5 @@ def line_plot_svg(
             f'font-size="11">{label}</text>'
         )
     parts.append("</svg>")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(parts) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write(("\n".join(parts) + "\n").encode("utf-8"))

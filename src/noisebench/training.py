@@ -60,6 +60,10 @@ class TrainConfig:
         for name in ("max_epochs", "plateau_window", "patience", "kernel_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.kernel_size % 2 == 0:
+            raise ValueError(f"kernel_size must be odd for same padding, got {self.kernel_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.channels or min(self.channels) < 1:
             raise ValueError(f"channels must be non-empty, each >= 1, got {self.channels}")
         object.__setattr__(self, "subset", Subset(self.subset))

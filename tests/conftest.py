@@ -51,11 +51,16 @@ def toy_dataset():
 
 class _WriteFails:
     """A binary file handle whose second write raises after the first one
-    reached the file: a writer interrupted part way."""
+    reached the file: a writer interrupted part way. A writer that makes
+    one write only (or one flush, through a text wrapper) fails when the
+    handle is closed instead."""
 
     def __init__(self, fh):
         self._fh = fh
         self._writes = 0
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)  # readable, tell, flush, ...
 
     def write(self, data):
         self._writes += 1
@@ -66,18 +71,24 @@ class _WriteFails:
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc):
+    def __exit__(self, exc_type, *exc):
         self._fh.close()
+        if exc_type is None:
+            raise OSError("interrupted write")
 
 
 @pytest.fixture
 def interrupt_writes(monkeypatch):
     """A call that makes every file opened through Path.open for binary
-    writing, from then on, fail on its second write."""
+    writing, from then on, fail part way; with ``part``, only the files
+    whose name contains it."""
     real_open = Path.open
 
-    def open_(self, mode="r", *args, **kwargs):
-        fh = real_open(self, mode, *args, **kwargs)
-        return _WriteFails(fh) if "w" in mode and "b" in mode else fh
+    def start(part=""):
+        def open_(self, mode="r", *args, **kwargs):
+            fh = real_open(self, mode, *args, **kwargs)
+            return _WriteFails(fh) if "w" in mode and "b" in mode and part in self.name else fh
 
-    return lambda: monkeypatch.setattr(Path, "open", open_)
+        monkeypatch.setattr(Path, "open", open_)
+
+    return start

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from noisebench import cli
+from noisebench.audio_io import AudioClip, read_wav, write_wav
 from noisebench.cli import main
 from noisebench.config import experiment_cells, load_config
 from noisebench.datasets import Origin, Split, Subset, gen_synthetic_dataset
@@ -124,6 +125,12 @@ class TestParsing:
         assert f"config invalid at {section}/{key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_negative_seed_flag_is_a_config_error(self, tmp_path, capsys):
+        path, _ = base_config(tmp_path)
+        assert main(["run", "--config", str(path), "--seed", "-1"]) == 1
+        assert "--seed: seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_importing_the_cli_loads_no_jsonschema(self):
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -146,9 +153,9 @@ _FIELDS = [
     (("dataset", "synthetic", "clips_per_class"), "integer", [2], [1]),
     (("dataset", "synthetic", "clean_fraction"), "number", [0.01, 0.99], [0, 1]),
     (("dataset", "synthetic", "sample_rate"), "integer", [1], [0]),
-    (("dataset", "synthetic", "seed"), "integer", [-1], []),
+    (("dataset", "synthetic", "seed"), "integer", [0], [-1]),
     (("dataset", "synthetic", "test_per_class"), "integer", [1], [0]),
-    (("features", "sample_rate"), "integer", [1], [0]),
+    (("features", "sample_rate"), "integer", [17], [0, 1, 16]),  # >= 1 frame per 2 s patch
     (("features", "fft_size"), "integer", [64, 129], [63]),
     (("features", "hop"), "integer", [1, 128], [0, 129]),
     (("features", "window"), "enum", ["hann"], ["hamming"]),
@@ -156,25 +163,25 @@ _FIELDS = [
     (("features", "fmin"), "number", [0, 999.5], [-0.5, 1000]),
     (("features", "fmax"), "number", [0.5, 1000], [0, 1000.5]),
     (("features", "log_floor"), "number", [1e-300], [0, -1]),
-    (("features", "patch_seconds"), "number", [0.01], [0]),
+    (("features", "patch_seconds"), "number", [0.02], [0, 0.01]),
     (("features", "cache_dir"), "string", ["cache"], []),
     *[(("noise", key), "number", [0, 1], [-0.01, 1.01])
       for key in ("p_incorrect_oov", "p_incomplete_oov", "p_incorrect_iv",
                   "p_incomplete_iv", "p_density")],
-    (("noise", "seed"), "integer", [-1], []),
+    (("noise", "seed"), "integer", [0], [-1]),
     (("train", "batch_size"), "integer", [2], [1]),
     (("train", "initial_lr"), "number", [1e-9], [0, -0.1]),
     (("train", "plateau_window"), "integer", [1], [0]),
     (("train", "patience"), "integer", [1], [0]),
     (("train", "val_fraction"), "number", [0.01, 0.99], [0, 1]),
     (("train", "max_epochs"), "integer", [1], [0]),
-    (("train", "seed"), "integer", [-1], []),
+    (("train", "seed"), "integer", [0], [-1]),
     (("train", "n_runs"), "integer", [2], [1]),
     (("train", "subsets"), "array", [["clean", "noisy", "noisy_small", "all"]],
      [[], ["everything"], ["all", 1]]),
     (("train", "losses"), "array", [], [[], ["cce"]]),
     (("train", "channels"), "array", [[1, 1, 1]], [[], [0, 1, 1], [1, "2", 3], [1, True, 3]]),
-    (("train", "kernel_size"), "integer", [1], [0]),
+    (("train", "kernel_size"), "integer", [1], [0, 2]),
     (("train", "losses", 0, "family"), "enum",
      ["cce", "soft", "lq", "mask_max", "mask_stat"], ["huber"]),
     (("train", "losses", 0, "beta"), "number", [0, 1], [-0.01, 1.01]),
@@ -572,6 +579,65 @@ class TestCorruptedAudioBypassesTheCache:
             assert np.array_equal(seen["features"][clip.clip_id].values, expected)
         after = {f.name: f.read_bytes() for f in (tmp_path / "cache").glob("*.lmf")}
         assert after == clean_files
+
+
+class TestOneCacheRule:
+    """features and run bring the cache up to date through one routine."""
+
+    @staticmethod
+    def _spy_features(monkeypatch):
+        seen = {}
+        real_run_experiment = cli.run_experiment
+
+        def spy(*args, features, **kwargs):
+            seen.update(features)
+            return real_run_experiment(*args, features=features, **kwargs)
+
+        monkeypatch.setattr(cli, "run_experiment", spy)
+        return seen
+
+    def test_run_trains_on_a_wav_rewritten_after_features(self, on_disk_dataset, monkeypatch):
+        path, cfg, out = on_disk_dataset
+        assert main(["features", "--config", str(path)]) == 0
+        victim = out / "audio" / "synth_c00_0000.wav"
+        cache = path.parent / "cache" / "synth_c00_0000.lmf"
+        clip = read_wav(victim, victim.name)
+        write_wav(victim, AudioClip(clip.samples[::-1].copy(), clip.sample_rate, victim.name))
+        os.utime(victim, (cache.stat().st_mtime + 10,) * 2)
+        seen = self._spy_features(monkeypatch)
+        assert main(["run", "--config", str(path)]) == 0
+        feat_cfg = load_config(path).features
+        expected = extract_logmel(read_wav(victim, victim.name), feat_cfg).values
+        assert np.array_equal(seen[victim.name].values, expected.astype(np.float32))
+        assert np.array_equal(load_feature_cache(cache).values, expected.astype(np.float32))
+
+    def test_run_sizes_its_pool_like_features(self, tmp_path, monkeypatch):
+        path, cfg = base_config(tmp_path)
+        outputs = {}
+        for jobs in ("2", "1"):
+            cfg["features"]["cache_dir"] = str(tmp_path / f"cache{jobs}")
+            path.write_text(json.dumps(cfg), encoding="utf-8")
+            if jobs == "2":
+                sizes = TestFeatures._record_pool_sizes(monkeypatch)
+            out = tmp_path / f"out{jobs}"
+            assert main(["run", "--config", str(path), "--jobs", jobs, "--output", str(out)]) == 0
+            outputs[jobs] = {f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))}
+        assert sizes == [2]
+        assert [name for name in outputs["1"] if name.startswith("report_")]
+        assert outputs["2"] == outputs["1"]
+
+    def test_parallel_features_report_a_corrupt_wav_and_cache_the_rest(
+        self, on_disk_dataset, capsys
+    ):
+        path, cfg, out = on_disk_dataset
+        wavs = sorted((out / "audio").glob("*.wav"))
+        wavs[5].write_bytes(b"RIFF, then nothing")
+        assert main(["features", "--config", str(path), "--jobs", "2"]) == 2
+        captured = capsys.readouterr()
+        assert wavs[5].name in captured.err
+        assert f"{len(wavs) - 1} computed, 0 up to date, 1 failed" in captured.out
+        cached = sorted(f.stem for f in (path.parent / "cache").glob("*.lmf"))
+        assert cached == [w.stem for w in wavs if w != wavs[5]]
 
 
 class TestInjectNoise:

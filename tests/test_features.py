@@ -1,5 +1,6 @@
 """STFT, mel filterbank, log-mel extraction, and patch slicing."""
 
+import os
 import struct
 import tracemalloc
 
@@ -11,6 +12,7 @@ from noisebench import AudioClip, FeatureConfig, extract_logmel, mel_filterbank,
 from noisebench.features import (
     LogMelMatrix,
     feature_cache_matches,
+    feature_cache_path,
     load_feature_cache,
     mel_scale,
     mel_to_hz,
@@ -19,6 +21,15 @@ from noisebench.features import (
 from noisebench.errors import ConfigError, DataError
 
 CFG = FeatureConfig(sample_rate=8000, fft_size=512, hop=256, n_mels=32)
+
+
+@pytest.mark.parametrize("seconds", [0.0, 0.015, float("inf"), float("nan")])
+def test_patch_seconds_must_give_a_whole_frame(seconds):
+    # 0.015 s at 31.25 frames/s rounds to 0 frames; 0.02 s gives one.
+    assert FeatureConfig(sample_rate=2000, hop=64, fft_size=128,
+                         patch_seconds=0.02).patch_frames == 1
+    with pytest.raises(ConfigError, match="patch_seconds"):
+        FeatureConfig(sample_rate=2000, hop=64, fft_size=128, patch_seconds=seconds)
 
 
 def clip_of(samples, sr=8000, clip_id="t"):
@@ -305,6 +316,24 @@ class TestFeatureCache:
         path.write_bytes(path.read_bytes()[:5])
         with pytest.raises(DataError, match="truncated"):
             feature_cache_matches(path, CFG)
+
+    def test_cache_path_is_the_clip_id_stem(self, tmp_path):
+        assert feature_cache_path(tmp_path, "a/clip01.wav") == tmp_path / "clip01.lmf"
+
+    def test_a_file_older_than_its_wav_does_not_match(self, tmp_path):
+        wav, path = tmp_path / "clip01.wav", tmp_path / "clip01.lmf"
+        wav.write_bytes(b"audio")
+        save_feature_cache(path, LogMelMatrix(np.zeros((CFG.n_mels, 5)), "clip01",
+                                              CFG.frame_rate))
+        written = path.stat().st_mtime
+        assert feature_cache_matches(path, CFG, wav)
+        os.utime(wav, (written, written))
+        assert feature_cache_matches(path, CFG, wav)
+        os.utime(wav, (written + 1, written + 1))
+        assert not feature_cache_matches(path, CFG, wav)
+        assert feature_cache_matches(path, CFG)
+        wav.unlink()
+        assert not feature_cache_matches(path, CFG, wav)
 
     def test_interrupted_write_keeps_the_previous_file(self, tmp_path, interrupt_writes):
         path = tmp_path / "clip01.lmf"
