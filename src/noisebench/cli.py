@@ -22,7 +22,6 @@ from .datasets import gen_synthetic_dataset, load_manifest, write_manifest
 from .errors import ConfigError, DataError, NumericError
 from .features import (
     extract_logmel,
-    feature_cache_matches,
     feature_cache_path,
     load_feature_cache,
     save_feature_cache,
@@ -54,17 +53,10 @@ def _load_dataset(cfg: config_mod.ExperimentConfig, decode: bool = True):
     return clips, manifest, []
 
 
-def _cache_sources(cfg: config_mod.ExperimentConfig, manifest, clips) -> dict:
-    """Clip id -> what its log-mel is extracted from: the clip itself for a
-    synthetic dataset, else the WAV file it is read from."""
-    if "synthetic" in cfg.dataset:
-        return {clip.clip_id: clip for clip in clips}
-    return {rec.clip_id: manifest.audio_root / rec.clip_id for rec in manifest.records}
-
-
-def _apply_noise(cfg, clips, manifest, pool):
-    return corrupt_noisy_train(clips, manifest, cfg.noise, pool,
-                               patch_seconds=cfg.features.patch_seconds)
+def _cache_dir(cfg: config_mod.ExperimentConfig, args) -> Path:
+    """The config's cache_dir, else ``features`` under the output directory."""
+    return (cfg.resolve(cfg.cache_dir) if cfg.cache_dir
+            else Path(args.output or cfg.output_dir) / "features")
 
 
 def cmd_synth_data(cfg: config_mod.ExperimentConfig, args) -> int:
@@ -84,49 +76,64 @@ def cmd_synth_data(cfg: config_mod.ExperimentConfig, args) -> int:
     return 0
 
 
-def _feature_job(item) -> str | None:
-    """Extract one clip's log-mel into its cache file, reading a WAV source
-    here, in the worker. Returns the message of an unreadable WAV."""
-    clip_id, source, cache_path, feat_cfg = item
-    if isinstance(source, Path):
+def _feature_job(item) -> tuple[Path | None, bool, str | None]:
+    """Cache one clip's log-mel. A WAV is read and keyed here, in the
+    worker, and extracted unless its file exists (or ``force``); an
+    in-memory clip comes with its missing path. Returns (cache path,
+    whether it was extracted, the message of an unreadable WAV)."""
+    clip_id, source, path, cache_dir, feat_cfg, force = item
+    if path is None:
         try:
             source = read_wav(source, clip_id)
         except DataError as exc:
-            return str(exc)
-    save_feature_cache(cache_path, extract_logmel(source, feat_cfg))
-    return None
+            return None, False, str(exc)
+        path = feature_cache_path(cache_dir, source, feat_cfg)
+        if path.exists() and not force:
+            return path, False, None
+    save_feature_cache(path, extract_logmel(source, feat_cfg))
+    return path, True, None
 
 
 def _refresh_cache(sources: dict, cache_dir: Path, feat_cfg, jobs: int, force: bool):
-    """Bring the cache file of every clip in ``sources`` (see _cache_sources)
-    up to date, with up to ``jobs`` worker processes.
-
-    A file is recomputed when ``force`` is set or feature_cache_matches
-    rejects it, a clip read from a WAV file being checked against that
-    file. Returns (clip id -> cache path, number of files recomputed or
-    failed, messages of the WAVs that could not be read).
+    """Make sure every clip in ``sources`` (clip id -> the clip, or the WAV
+    it is read from) has its file at feature_cache_path, with up to ``jobs``
+    worker processes; ``force`` extracts every clip. An in-memory clip is
+    keyed here and goes to a worker only if its file is missing. Returns
+    (clip id -> cache path, files extracted, messages of unreadable WAVs).
     """
-    paths, stale = {}, []
+    paths, todo = {}, []
     for clip_id, source in sources.items():
-        path = paths[clip_id] = feature_cache_path(cache_dir, clip_id)
-        wav = source if isinstance(source, Path) else None
-        if force or not feature_cache_matches(path, feat_cfg, wav):
-            stale.append((clip_id, source, path, feat_cfg))
-    if jobs > 1 and len(stale) > 1:
-        with multiprocessing.Pool(min(jobs, len(stale))) as pool:
-            errors = pool.map(_feature_job, stale)
+        path = None
+        if not isinstance(source, Path):
+            path = paths[clip_id] = feature_cache_path(cache_dir, source, feat_cfg)
+            if path.exists() and not force:
+                continue
+        todo.append((clip_id, source, path, cache_dir, feat_cfg, force))
+    if jobs > 1 and len(todo) > 1:
+        with multiprocessing.Pool(min(jobs, len(todo))) as pool:
+            results = pool.map(_feature_job, todo)
     else:
-        errors = [_feature_job(item) for item in stale]
-    return paths, len(stale), [message for message in errors if message]
+        results = [_feature_job(item) for item in todo]
+    extracted, errors = 0, []
+    for (clip_id, *_), (path, fresh, error) in zip(todo, results):
+        if error:
+            errors.append(error)
+        else:
+            paths[clip_id] = path
+            extracted += fresh
+    return paths, extracted, errors
 
 
 def cmd_features(cfg: config_mod.ExperimentConfig, args) -> int:
-    cache_dir = (cfg.resolve(cfg.cache_dir) if cfg.cache_dir
-                 else Path(args.output or cfg.output_dir) / "features")
+    cache_dir = _cache_dir(cfg, args)
     clips, manifest, _ = _load_dataset(cfg, decode=False)
-    paths, n_stale, errors = _refresh_cache(_cache_sources(cfg, manifest, clips), cache_dir,
-                                            cfg.features, args.jobs, args.force)
-    print(f"features: {n_stale - len(errors)} computed, {len(paths) - n_stale} up to date, "
+    if "synthetic" in cfg.dataset:
+        sources = {clip.clip_id: clip for clip in clips}
+    else:
+        sources = {rec.clip_id: manifest.audio_root / rec.clip_id for rec in manifest.records}
+    paths, extracted, errors = _refresh_cache(sources, cache_dir, cfg.features, args.jobs,
+                                              args.force)
+    print(f"features: {extracted} computed, {len(paths) - extracted} up to date, "
           f"{len(errors)} failed -> {cache_dir}")
     for message in errors:
         print(f"error: {message}", file=sys.stderr)
@@ -137,7 +144,8 @@ def cmd_inject_noise(cfg: config_mod.ExperimentConfig, args) -> int:
     if cfg.noise is None:
         raise ConfigError("inject-noise requires a noise section")
     clips, manifest, pool = _load_dataset(cfg)
-    new_clips, new_manifest, log = _apply_noise(cfg, clips, manifest, pool)
+    new_clips, new_manifest, log = corrupt_noisy_train(
+        clips, manifest, cfg.noise, pool, patch_seconds=cfg.features.patch_seconds)
     if log is None:
         raise DataError("dataset has no noisy-origin train records to corrupt")
     out = Path(args.output or cfg.output_dir)
@@ -156,33 +164,16 @@ def cmd_inject_noise(cfg: config_mod.ExperimentConfig, args) -> int:
     return 0
 
 
-def _load_features(cfg, clips, sources: dict, args):
-    """Per-clip log-mels. Clips in ``sources`` are read from their cache
-    files, which _refresh_cache brings up to date first; any other clip is
-    extracted here, and no cache file of it is read or written."""
-    cache_dir = cfg.resolve(cfg.cache_dir) if cfg.cache_dir else None
-    paths, _, errors = _refresh_cache(sources, cache_dir, cfg.features, args.jobs, args.force)
-    if errors:
-        raise DataError(errors[0])
-    return {
-        clip.clip_id: load_feature_cache(paths[clip.clip_id], clip.clip_id)
-        if clip.clip_id in paths else extract_logmel(clip, cfg.features)
-        for clip in clips
-    }
-
-
 def cmd_run(cfg: config_mod.ExperimentConfig, args) -> int:
     clips, manifest, pool = _load_dataset(cfg)
-    sources = _cache_sources(cfg, manifest, clips) if cfg.cache_dir else {}
     if cfg.noise is not None:
-        noisy_clips, manifest, _ = _apply_noise(cfg, clips, manifest, pool)
-        # The cache is keyed by clip id, which a corrupted clip keeps: a clip
-        # whose audio the injector changed bypasses it.
-        for old, new in zip(clips, noisy_clips):
-            if new is not old:
-                sources.pop(new.clip_id, None)
-        clips = noisy_clips
-    features = _load_features(cfg, clips, sources, args)
+        clips, manifest, _ = corrupt_noisy_train(clips, manifest, cfg.noise, pool,
+                                                 patch_seconds=cfg.features.patch_seconds)
+    # Every clip is in memory, keyed here: a corrupted clip is another input.
+    paths, _, _ = _refresh_cache({clip.clip_id: clip for clip in clips}, _cache_dir(cfg, args),
+                                 cfg.features, args.jobs, args.force)
+    features = {clip.clip_id: load_feature_cache(paths[clip.clip_id], clip.clip_id, cfg.features)
+                for clip in clips}
     out = Path(args.output or cfg.output_dir)
 
     curve_series = []

@@ -5,8 +5,8 @@ range rule lives there, beside the value it guards. Parsing rejects what
 is wrong as JSON: a section that is not an object, an unknown key (so
 typos fail before any compute), a missing required key, and a value of
 the wrong JSON type for its field (a bool is not a number, 16.0 is not an
-integer, null is never a value). Every error names its place as a
-slash-joined path such as ``train/losses/0``.
+integer, null is never a value, a number must be finite). Every error
+names its place as a slash-joined path such as ``train/losses/0``.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import inspect
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -60,7 +61,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
 _JSON_KINDS = {
     bool: ("a boolean", lambda v: isinstance(v, bool)),
     int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    float: ("a finite number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v)),
     str: ("a string", lambda v: isinstance(v, str)),
     dict: ("an object", lambda v: isinstance(v, dict)),
     list: ("an array", lambda v: isinstance(v, list)),

@@ -10,10 +10,11 @@ patches with the trailing remainder discarded.
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -78,14 +79,6 @@ class LogMelMatrix:
     @property
     def n_frames(self) -> int:
         return self.values.shape[1]
-
-
-@dataclass
-class LogMelPatch:
-    values: np.ndarray  # (n_mels, patch_frames)
-    clip_id: str
-    inherited_label: int
-    patch_index: int
 
 
 def _hann(n: int) -> np.ndarray:
@@ -185,35 +178,51 @@ def patch_count(n_frames: int, cfg: FeatureConfig) -> int:
     return max(1, n_frames // cfg.patch_frames)
 
 
-def patchify(matrix: LogMelMatrix, label: int, cfg: FeatureConfig) -> list[LogMelPatch]:
-    """Cut a log-mel matrix into fixed-length patches carrying the clip label.
+def patchify(matrix: LogMelMatrix, cfg: FeatureConfig) -> np.ndarray:
+    """Cut a log-mel matrix into fixed-length patches, shape
+    (count, n_mels, patch_frames).
 
     Shorter inputs are tiled cyclically along time to fill one patch; longer
-    inputs yield floor(n_frames / patch_frames) consecutive patches and the
-    remainder is dropped.
+    inputs yield floor(n_frames / patch_frames) consecutive patches, as a
+    view of the matrix, and the remainder is dropped.
     """
     n_frames = matrix.n_frames
     if n_frames == 0:
         raise DataError(f"clip {matrix.clip_id!r} has no frames to cut patches from")
-    count = patch_count(n_frames, cfg)
     n_patch = cfg.patch_frames
     values = matrix.values
     if n_frames < n_patch:
-        reps = -(-n_patch // n_frames)
-        chunks = [np.tile(values, reps)[:, :n_patch]]
-    else:
-        chunks = [values[:, i * n_patch : (i + 1) * n_patch] for i in range(count)]
-    return [
-        LogMelPatch(chunk, matrix.clip_id, label, i) for i, chunk in enumerate(chunks)
-    ]
+        return np.tile(values, -(-n_patch // n_frames))[None, :, :n_patch]
+    count = patch_count(n_frames, cfg)
+    return values[:, : count * n_patch].reshape(-1, count, n_patch).transpose(1, 0, 2)
 
 
 # ---------------------------------------------------------------------------
-# Feature cache: one binary file per clip, little-endian layout
+# Feature cache: one binary file per clip and input, little-endian layout
 #   int32 n_mels, int32 n_frames, float32 frame_rate, then row-major float32.
 # ---------------------------------------------------------------------------
 
 _CACHE_HEADER = struct.Struct("<iif")
+
+# What extract_logmel reads of a FeatureConfig: every field but patch_seconds.
+_KEYED_FIELDS = tuple(f.name for f in fields(FeatureConfig) if f.name != "patch_seconds")
+
+
+def feature_cache_path(cache_dir: str | Path, clip: AudioClip, cfg: FeatureConfig) -> Path:
+    """Where the log-mel of ``clip`` under ``cfg`` is cached:
+    ``cache_dir/<clip id stem>-<key>.lmf``.
+
+    The key is a sha256 over the config fields extract_logmel reads (numbers
+    as floats, so 0 and 0.0 agree) and the samples it is fed, dtype and
+    bytes. A file exists only for its own input, so whether it exists is
+    the whole staleness check.
+    """
+    settings = {name: getattr(cfg, name) for name in _KEYED_FIELDS}
+    settings = {name: v if isinstance(v, str) else float(v) for name, v in settings.items()}
+    samples = np.ascontiguousarray(clip.samples)
+    digest = hashlib.sha256(repr((settings, samples.dtype.str)).encode())
+    digest.update(samples)
+    return Path(cache_dir) / f"{Path(clip.clip_id).stem}-{digest.hexdigest()}.lmf"
 
 
 def save_feature_cache(path: str | Path, matrix: LogMelMatrix) -> None:
@@ -223,54 +232,28 @@ def save_feature_cache(path: str | Path, matrix: LogMelMatrix) -> None:
         fh.write(values.data)
 
 
-def _read_header(fh, path: Path) -> tuple[int, int, float]:
-    header = fh.read(_CACHE_HEADER.size)
-    if len(header) != _CACHE_HEADER.size:
-        raise DataError(f"{path}: truncated feature cache")
-    return _CACHE_HEADER.unpack(header)
-
-
-def feature_cache_path(cache_dir: str | Path, clip_id: str) -> Path:
-    """Where a clip's log-mel is cached: its id's stem plus ``.lmf``."""
-    return Path(cache_dir) / (Path(clip_id).stem + ".lmf")
-
-
-def feature_cache_matches(path: str | Path, cfg: FeatureConfig,
-                          source: str | Path | None = None) -> bool:
-    """Whether a cache file exists at path with cfg's n_mels and float32
-    frame rate, and, for a clip read from the WAV file ``source``, is not
-    older than that file.
-
-    Only the 12-byte header is read; a missing file, one written under
-    other settings, or one older than its WAV (or whose WAV is missing)
-    should be (re)computed. A header cut short is a DataError.
-    """
-    path = Path(path)
-    try:
-        if source is not None and os.stat(source).st_mtime > os.stat(path).st_mtime:
-            return False
-        fh = path.open("rb")
-    except FileNotFoundError:
-        return False
-    with fh:
-        n_mels, _, frame_rate = _read_header(fh, path)
-    return n_mels == cfg.n_mels and bool(frame_rate == np.float32(cfg.frame_rate))
-
-
-def load_feature_cache(path: str | Path, clip_id: str | None = None) -> LogMelMatrix:
+def load_feature_cache(path: str | Path, clip_id: str | None = None,
+                       cfg: FeatureConfig | None = None) -> LogMelMatrix:
     """Read a cache file written by save_feature_cache.
 
     The body is read straight into the returned float32 array. A header
-    with negative dimensions, or one claiming more values than the file
-    holds, is a DataError; bytes past the claimed body are ignored.
+    cut short, with negative dimensions, claiming more values than the file
+    holds or, given ``cfg``, holding another n_mels or float32 frame rate
+    is a DataError; bytes past the claimed body are ignored.
     """
     path = Path(path)
     with path.open("rb") as fh:
-        n_mels, n_frames, frame_rate = _read_header(fh, path)
+        header = fh.read(_CACHE_HEADER.size)
+        if len(header) != _CACHE_HEADER.size:
+            raise DataError(f"{path}: truncated feature cache")
+        n_mels, n_frames, frame_rate = _CACHE_HEADER.unpack(header)
         body = os.fstat(fh.fileno()).st_size - _CACHE_HEADER.size
         if n_mels < 0 or n_frames < 0:
             raise DataError(f"{path}: corrupt feature cache header "
                             f"({n_mels} x {n_frames} values)")
+        if cfg is not None and (n_mels, frame_rate) != (cfg.n_mels, np.float32(cfg.frame_rate)):
+            raise DataError(f"{path}: feature cache holds {n_mels} mels at {frame_rate} "
+                            f"frames/s, config asks for {cfg.n_mels} at {cfg.frame_rate}")
         if 4 * n_mels * n_frames > body:
             raise DataError(f"{path}: truncated feature cache (header claims "
                             f"{n_mels} x {n_frames} values, body holds {body // 4})")

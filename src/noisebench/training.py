@@ -116,8 +116,8 @@ def build_patchset(
     """Stack the patches of the given records into one float32 array, so
     cached and freshly-computed features train identically.
 
-    The array is allocated once and each patch from patchify is cast into
-    its row, which rounds as astype(np.float32) would.
+    The array is allocated once and each clip's patches from patchify are
+    cast into its rows, which rounds as astype(np.float32) would.
     """
     if not records:
         raise DataError("no patches produced; is the record list empty?")
@@ -125,10 +125,9 @@ def build_patchset(
     n_mels = features[records[0].clip_id].values.shape[0]
     x = np.empty((int(counts.sum()), 1, n_mels, cfg.patch_frames), dtype=np.float32)
     row = 0
-    for rec in records:
-        for patch in patchify(features[rec.clip_id], rec.class_index, cfg):
-            x[row, 0] = patch.values
-            row += 1
+    for rec, count in zip(records, counts):
+        x[row : row + count, 0] = patchify(features[rec.clip_id], cfg)
+        row += count
     clip_labels = np.array([rec.class_index for rec in records], dtype=np.int64)
     origins = np.asarray([rec.origin for rec in records], dtype=object)
     return PatchSet(

@@ -17,7 +17,7 @@ from noisebench.cli import main
 from noisebench.config import experiment_cells, load_config
 from noisebench.datasets import Origin, Split, Subset, gen_synthetic_dataset
 from noisebench.errors import ConfigError
-from noisebench.features import extract_logmel, load_feature_cache
+from noisebench.features import extract_logmel, feature_cache_path, load_feature_cache
 from noisebench.losses import LossConfig
 
 
@@ -193,10 +193,11 @@ _FIELDS = [
     (("output_dir",), "string", [], []),
 ]
 
-# One value of every JSON kind but the field's own: string, bool, list, null.
+# One value of every JSON kind but the field's own: string, bool, list, null;
+# and the numbers Python's json reads that are not finite.
 _WRONG_KIND = {
     "integer": ["3", True, [3], None, 2.5],
-    "number": ["0.5", False, [0.5], None],
+    "number": ["0.5", False, [0.5], None, float("nan"), float("inf"), float("-inf")],
     "string": [3, True, ["x"], None],
     "enum": [3, True, ["hann"], None],
     "boolean": ["true", 1, [True], None],
@@ -365,6 +366,13 @@ def on_disk_dataset(tmp_path):
     return path, cfg, out
 
 
+def cache_file(cache_dir, wav, config_path):
+    """The cache file of the clip read from ``wav`` under the features of
+    the config at ``config_path``."""
+    return feature_cache_path(cache_dir, read_wav(wav, wav.name),
+                              load_config(config_path).features)
+
+
 class TestFeatures:
     def test_idempotent_second_run(self, on_disk_dataset, capsys):
         path, cfg, _ = on_disk_dataset
@@ -453,7 +461,7 @@ class TestFeatures:
         wav = sorted((out / "audio").glob("*.wav"))[0]
         with wave.open(str(wav), "rb") as fh:
             n_samples = fh.getnframes()
-        cached = load_feature_cache(path.parent / "cache" / (wav.stem + ".lmf"))
+        cached = load_feature_cache(cache_file(path.parent / "cache", wav, path))
         assert cached.n_frames == -(-n_samples // cfg["features"]["hop"])
 
     def test_truncated_cache_file_is_a_data_error(self, tmp_path, capsys):
@@ -482,11 +490,28 @@ class TestFeatures:
         victim.write_bytes(data[:4] + struct.pack("<i", n_frames) + data[8:])
         capsys.readouterr()
         assert main(["run", "--config", str(path)]) == 2
-        assert victim.stem in capsys.readouterr().err
+        assert victim.stem.split("-")[0] in capsys.readouterr().err  # the clip id's stem
+
+
+    def test_cache_header_of_another_config_is_a_data_error(self, tmp_path, capsys):
+        # A keyed file holds its own input's features; one whose header
+        # disagrees with the config was not written by this rule.
+        path, cfg = base_config(tmp_path)
+        cfg["features"]["cache_dir"] = str(tmp_path / "cache")
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["features", "--config", str(path)]) == 0
+        victim = sorted((tmp_path / "cache").glob("*.lmf"))[1]
+        data = victim.read_bytes()
+        victim.write_bytes(struct.pack("<i", 8) + data[4:])
+        capsys.readouterr()
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert victim.name in err and "8 mels" in err
 
 
 class TestStaleFeatureCache:
-    """Cache files written under another n_mels are recomputed, not reused."""
+    """A change of n_mels gives every clip another key: its files are
+    extracted, and those of the earlier config are kept beside them."""
 
     @staticmethod
     def _set_n_mels(path, cfg, n_mels):
@@ -517,7 +542,7 @@ class TestStaleFeatureCache:
         self._set_n_mels(path, cfg, 8)
         assert main(["run", "--config", str(path)]) == 0
         assert seen_rows == {8}
-        assert self._cached_rows(tmp_path / "cache") == {8}
+        assert self._cached_rows(tmp_path / "cache") == {16, 8}
 
     def test_synthetic_features_are_recomputed(self, tmp_path, capsys):
         path, cfg = base_config(tmp_path)
@@ -529,7 +554,7 @@ class TestStaleFeatureCache:
         self._set_n_mels(path, cfg, 8)
         assert main(["features", "--config", str(path)]) == 0
         assert f"{n_files} computed, 0 up to date" in capsys.readouterr().out
-        assert self._cached_rows(tmp_path / "cache") == {8}
+        assert self._cached_rows(tmp_path / "cache") == {16, 8}
 
     def test_manifest_features_are_recomputed(self, on_disk_dataset, capsys):
         path, cfg, _ = on_disk_dataset
@@ -539,15 +564,16 @@ class TestStaleFeatureCache:
         self._set_n_mels(path, cfg, 8)
         assert main(["features", "--config", str(path)]) == 0
         assert f"{n_files} computed, 0 up to date" in capsys.readouterr().out
-        assert self._cached_rows(path.parent / "cache") == {8}
+        assert self._cached_rows(path.parent / "cache") == {16, 8}
         assert main(["features", "--config", str(path)]) == 0
         assert f"0 computed, {n_files} up to date" in capsys.readouterr().out
 
 
-class TestCorruptedAudioBypassesTheCache:
-    """The cache is keyed by clip id, which a corrupted clip keeps."""
+class TestCorruptedAudioIsKeyed:
+    """A corrupted clip keeps its clip id but not its samples, so it is
+    cached under a key of its own."""
 
-    def test_run_extracts_corrupted_clips_and_keeps_clean_files(self, tmp_path, monkeypatch):
+    def test_run_caches_corrupted_clips_and_keeps_clean_files(self, tmp_path, monkeypatch):
         path, cfg = base_config(tmp_path)
         cfg["features"]["cache_dir"] = str(tmp_path / "cache")
         cfg["noise"] = {"p_incorrect_oov": 1.0, "seed": 3}
@@ -575,10 +601,11 @@ class TestCorruptedAudioBypassesTheCache:
         assert len(corrupted) == 8
         for clip in corrupted:
             assert not np.array_equal(clip.samples, clean_samples[clip.clip_id])
-            expected = extract_logmel(clip, seen["feat_cfg"]).values
+            expected = extract_logmel(clip, seen["feat_cfg"]).values.astype(np.float32)
             assert np.array_equal(seen["features"][clip.clip_id].values, expected)
         after = {f.name: f.read_bytes() for f in (tmp_path / "cache").glob("*.lmf")}
-        assert after == clean_files
+        assert {name: after[name] for name in clean_files} == clean_files
+        assert len(after) == len(clean_files) + len(corrupted)
 
 
 class TestOneCacheRule:
@@ -600,15 +627,14 @@ class TestOneCacheRule:
         path, cfg, out = on_disk_dataset
         assert main(["features", "--config", str(path)]) == 0
         victim = out / "audio" / "synth_c00_0000.wav"
-        cache = path.parent / "cache" / "synth_c00_0000.lmf"
         clip = read_wav(victim, victim.name)
         write_wav(victim, AudioClip(clip.samples[::-1].copy(), clip.sample_rate, victim.name))
-        os.utime(victim, (cache.stat().st_mtime + 10,) * 2)
         seen = self._spy_features(monkeypatch)
         assert main(["run", "--config", str(path)]) == 0
         feat_cfg = load_config(path).features
         expected = extract_logmel(read_wav(victim, victim.name), feat_cfg).values
         assert np.array_equal(seen[victim.name].values, expected.astype(np.float32))
+        cache = cache_file(path.parent / "cache", victim, path)
         assert np.array_equal(load_feature_cache(cache).values, expected.astype(np.float32))
 
     def test_run_sizes_its_pool_like_features(self, tmp_path, monkeypatch):
@@ -636,8 +662,142 @@ class TestOneCacheRule:
         captured = capsys.readouterr()
         assert wavs[5].name in captured.err
         assert f"{len(wavs) - 1} computed, 0 up to date, 1 failed" in captured.out
-        cached = sorted(f.stem for f in (path.parent / "cache").glob("*.lmf"))
+        cached = sorted(f.stem.split("-")[0] for f in (path.parent / "cache").glob("*.lmf"))
         assert cached == [w.stem for w in wavs if w != wavs[5]]
+
+
+class TestTheKeyIsTheInput:
+    """A cache file is named by the config fields extract_logmel reads and
+    the samples it is fed, so no other input is served it."""
+
+    @staticmethod
+    def _write(path, cfg):
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        return path
+
+    @staticmethod
+    def _count_extractions(monkeypatch):
+        calls = []
+        real_extract = cli.extract_logmel
+
+        def counting(clip, feat_cfg):
+            calls.append(clip.clip_id)
+            return real_extract(clip, feat_cfg)
+
+        monkeypatch.setattr(cli, "extract_logmel", counting)
+        return calls
+
+    @staticmethod
+    def _assert_fresh(features, clips, config_path):
+        feat_cfg = load_config(config_path).features
+        for clip in clips:
+            expected = extract_logmel(clip, feat_cfg).values.astype(np.float32)
+            assert np.array_equal(features[clip.clip_id].values, expected), clip.clip_id
+
+    def test_a_new_synthetic_seed_gets_its_own_files(self, tmp_path, monkeypatch, capsys):
+        path, cfg = base_config(tmp_path)
+        cfg["features"]["cache_dir"] = str(tmp_path / "cache")
+        assert main(["features", "--config", str(self._write(path, cfg))]) == 0
+        cfg["dataset"]["synthetic"]["seed"] = 4
+        self._write(path, cfg)
+        capsys.readouterr()
+        assert main(["features", "--config", str(path)]) == 0
+        assert f"{len(cfg_records(cfg))} computed, 0 up to date" in capsys.readouterr().out
+        seen = TestOneCacheRule._spy_features(monkeypatch)
+        assert main(["run", "--config", str(path)]) == 0
+        clips, _, _ = gen_synthetic_dataset(**cfg["dataset"]["synthetic"])
+        self._assert_fresh(seen, clips, path)
+
+    def test_a_dataset_and_its_noisy_copy_share_a_cache_dir(self, tmp_path, monkeypatch):
+        path, cfg = base_config(tmp_path)
+        assert main(["synth-data", "--config", str(path), "--output", str(tmp_path / "clean")]) == 0
+        cfg["noise"] = {"p_incorrect_oov": 1.0, "seed": 3}
+        self._write(path, cfg)
+        assert main(["inject-noise", "--config", str(path),
+                     "--output", str(tmp_path / "noisy")]) == 0
+        wavs = sorted((tmp_path / "clean" / "audio").glob("*.wav"))
+        changed = [w for w in wavs
+                   if w.read_bytes() != (tmp_path / "noisy" / "audio" / w.name).read_bytes()]
+        assert len(changed) == 8
+        del cfg["noise"]
+        cfg["features"]["cache_dir"] = str(tmp_path / "cache")
+        for name in ("noisy", "clean"):  # the noisy copy first
+            cfg["dataset"] = {"manifest": str(tmp_path / name / "manifest.csv"),
+                              "audio_root": str(tmp_path / name / "audio")}
+            path = self._write(tmp_path / f"{name}.json", cfg)
+            assert main(["features", "--config", str(path)]) == 0
+        seen = TestOneCacheRule._spy_features(monkeypatch)
+        assert main(["run", "--config", str(path)]) == 0
+        self._assert_fresh(seen, [read_wav(w, w.name) for w in wavs], path)
+
+    def test_one_file_name_in_two_directories(self, on_disk_dataset, monkeypatch):
+        path, cfg, out = on_disk_dataset
+        manifest = out / "manifest.csv"
+        text = manifest.read_text(encoding="utf-8")
+        for old, new in (("synth_c00_0000.wav", "a/x.wav"), ("synth_c01_0000.wav", "b/x.wav")):
+            assert old in text
+            (out / "audio" / new).parent.mkdir()
+            (out / "audio" / old).rename(out / "audio" / new)
+            text = text.replace(old, new)
+        manifest.write_text(text, encoding="utf-8")
+        assert main(["features", "--config", str(path)]) == 0
+        seen = TestOneCacheRule._spy_features(monkeypatch)
+        assert main(["run", "--config", str(path)]) == 0
+        self._assert_fresh(seen, [read_wav(out / "audio" / n, n) for n in ("a/x.wav", "b/x.wav")],
+                           path)
+
+    @pytest.mark.parametrize("changes", [{"fft_size": 256}, {"fmin": 50.0}, {"fmax": 900.0},
+                                         {"log_floor": 1e-3}, {"sample_rate": 4000, "hop": 128}],
+                             ids=["fft_size", "fmin", "fmax", "log_floor", "sample_rate+hop"])
+    def test_a_change_the_header_does_not_show(self, tmp_path, capsys, changes):
+        path, cfg = base_config(tmp_path)
+        cfg["features"]["cache_dir"] = str(tmp_path / "cache")
+        assert main(["features", "--config", str(self._write(path, cfg))]) == 0
+        cfg["features"].update(changes)
+        if "sample_rate" in changes:  # the same frame rate, audio made at the new rate
+            cfg["dataset"]["synthetic"]["sample_rate"] = changes["sample_rate"]
+        self._write(path, cfg)
+        capsys.readouterr()
+        assert main(["features", "--config", str(path)]) == 0
+        assert f"{len(cfg_records(cfg))} computed, 0 up to date" in capsys.readouterr().out
+        feat_cfg = load_config(path).features
+        clips, _, _ = gen_synthetic_dataset(**cfg["dataset"]["synthetic"])
+        cached = {clip.clip_id: load_feature_cache(
+            feature_cache_path(tmp_path / "cache", clip, feat_cfg), cfg=feat_cfg) for clip in clips}
+        self._assert_fresh(cached, clips, path)
+
+    def test_a_wav_replaced_by_audio_with_an_older_mtime(self, on_disk_dataset, monkeypatch,
+                                                          capsys):
+        path, cfg, out = on_disk_dataset
+        assert main(["features", "--config", str(path)]) == 0
+        victim = out / "audio" / "synth_c00_0000.wav"
+        clip = read_wav(victim, victim.name)
+        written = victim.stat().st_mtime
+        write_wav(victim, AudioClip(clip.samples[::-1].copy(), clip.sample_rate, victim.name))
+        os.utime(victim, (written - 3600,) * 2)  # as tar x or cp -p leave it
+        capsys.readouterr()
+        assert main(["features", "--config", str(path)]) == 0
+        n_wavs = len(list((out / "audio").glob("*.wav")))
+        assert f"1 computed, {n_wavs - 1} up to date" in capsys.readouterr().out
+        seen = TestOneCacheRule._spy_features(monkeypatch)
+        assert main(["run", "--config", str(path)]) == 0
+        self._assert_fresh(seen, [read_wav(victim, victim.name)], path)
+
+    def test_a_second_run_with_noise_extracts_nothing(self, tmp_path, monkeypatch):
+        path, cfg = base_config(tmp_path)
+        cfg["noise"] = {"p_incorrect_oov": 1.0, "seed": 3}
+        assert main(["run", "--config", str(self._write(path, cfg))]) == 0
+        calls = self._count_extractions(monkeypatch)
+        assert main(["run", "--config", str(path)]) == 0
+        assert calls == []
+
+    def test_run_without_a_cache_dir_reads_what_features_wrote(self, tmp_path, monkeypatch):
+        path, cfg = base_config(tmp_path)
+        assert main(["features", "--config", str(path)]) == 0
+        assert len(list((tmp_path / "out" / "features").glob("*.lmf"))) == len(cfg_records(cfg))
+        calls = self._count_extractions(monkeypatch)
+        assert main(["run", "--config", str(path)]) == 0
+        assert calls == []
 
 
 class TestInjectNoise:

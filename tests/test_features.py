@@ -1,6 +1,6 @@
 """STFT, mel filterbank, log-mel extraction, and patch slicing."""
 
-import os
+import dataclasses
 import struct
 import tracemalloc
 
@@ -11,7 +11,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from noisebench import AudioClip, FeatureConfig, extract_logmel, mel_filterbank, patchify, stft_power
 from noisebench.features import (
     LogMelMatrix,
-    feature_cache_matches,
     feature_cache_path,
     load_feature_cache,
     mel_scale,
@@ -245,45 +244,40 @@ class TestPatchify:
     def test_exact_length_is_one_patch(self):
         n = CFG.patch_frames
         values = np.random.default_rng(3).standard_normal((32, n))
-        patches = patchify(matrix_of(values), 5, CFG)
-        assert len(patches) == 1
-        np.testing.assert_array_equal(patches[0].values, values)
-        assert patches[0].inherited_label == 5
-        assert patches[0].patch_index == 0
+        patches = patchify(matrix_of(values), CFG)
+        assert patches.shape == (1, 32, n)
+        np.testing.assert_array_equal(patches[0], values)
 
     def test_long_input_drops_remainder(self):
         n = int(2.3 * CFG.patch_frames)
         values = np.random.default_rng(4).standard_normal((32, n))
-        patches = patchify(matrix_of(values), 1, CFG)
+        patches = patchify(matrix_of(values), CFG)
         assert len(patches) == 2
+        assert np.shares_memory(patches, values)
         for i, patch in enumerate(patches):
             np.testing.assert_array_equal(
-                patch.values, values[:, i * CFG.patch_frames : (i + 1) * CFG.patch_frames]
+                patch, values[:, i * CFG.patch_frames : (i + 1) * CFG.patch_frames]
             )
 
     def test_short_input_tiles_cyclically(self):
         n = int(0.4 * CFG.patch_frames)
         values = np.random.default_rng(5).standard_normal((32, n))
-        patches = patchify(matrix_of(values), 2, CFG)
-        assert len(patches) == 1
-        patch = patches[0].values
-        assert patch.shape == (32, CFG.patch_frames)
+        patches = patchify(matrix_of(values), CFG)
+        assert patches.shape == (1, 32, CFG.patch_frames)
         for t in range(CFG.patch_frames):
-            np.testing.assert_array_equal(patch[:, t], values[:, t % n])
+            np.testing.assert_array_equal(patches[0, :, t], values[:, t % n])
 
     def test_empty_input_is_a_data_error(self):
         with pytest.raises(DataError, match="'t' has no frames"):
-            patchify(matrix_of(np.zeros((32, 0))), 0, CFG)
+            patchify(matrix_of(np.zeros((32, 0))), CFG)
 
     def test_patch_count_formula(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             n = int(rng.integers(1, 4 * CFG.patch_frames))
-            patches = patchify(matrix_of(rng.standard_normal((32, n))), 0, CFG)
+            patches = patchify(matrix_of(rng.standard_normal((32, n))), CFG)
             expected = 1 if n < CFG.patch_frames else n // CFG.patch_frames
-            assert len(patches) == expected
-            assert all(p.values.shape == (32, CFG.patch_frames) for p in patches)
-            assert [p.patch_index for p in patches] == list(range(len(patches)))
+            assert patches.shape == (expected, 32, CFG.patch_frames)
 
 
 class TestFeatureCache:
@@ -305,35 +299,22 @@ class TestFeatureCache:
 
     def test_header_check_against_the_config(self, tmp_path):
         path = tmp_path / "clip01.lmf"
-        assert not feature_cache_matches(path, CFG)
         values = np.zeros((CFG.n_mels, 5), dtype=np.float32)
         save_feature_cache(path, LogMelMatrix(values, "clip01", CFG.frame_rate))
-        assert feature_cache_matches(path, CFG)
-        assert not feature_cache_matches(path, FeatureConfig(sample_rate=8000, fft_size=512,
-                                                             hop=256, n_mels=16))
-        assert not feature_cache_matches(path, FeatureConfig(sample_rate=8000, fft_size=512,
-                                                             hop=200, n_mels=32))
+        assert load_feature_cache(path, cfg=CFG).n_frames == 5
+        for other in (FeatureConfig(sample_rate=8000, fft_size=512, hop=256, n_mels=16),
+                      FeatureConfig(sample_rate=8000, fft_size=512, hop=200, n_mels=32)):
+            with pytest.raises(DataError, match="clip01.lmf"):
+                load_feature_cache(path, cfg=other)
         path.write_bytes(path.read_bytes()[:5])
         with pytest.raises(DataError, match="truncated"):
-            feature_cache_matches(path, CFG)
+            load_feature_cache(path, cfg=CFG)
 
-    def test_cache_path_is_the_clip_id_stem(self, tmp_path):
-        assert feature_cache_path(tmp_path, "a/clip01.wav") == tmp_path / "clip01.lmf"
-
-    def test_a_file_older_than_its_wav_does_not_match(self, tmp_path):
-        wav, path = tmp_path / "clip01.wav", tmp_path / "clip01.lmf"
-        wav.write_bytes(b"audio")
-        save_feature_cache(path, LogMelMatrix(np.zeros((CFG.n_mels, 5)), "clip01",
-                                              CFG.frame_rate))
-        written = path.stat().st_mtime
-        assert feature_cache_matches(path, CFG, wav)
-        os.utime(wav, (written, written))
-        assert feature_cache_matches(path, CFG, wav)
-        os.utime(wav, (written + 1, written + 1))
-        assert not feature_cache_matches(path, CFG, wav)
-        assert feature_cache_matches(path, CFG)
-        wav.unlink()
-        assert not feature_cache_matches(path, CFG, wav)
+    def test_cache_path_is_the_stem_then_the_key(self, tmp_path):
+        path = feature_cache_path(tmp_path, clip_of(np.zeros(8), clip_id="a/clip01.wav"), CFG)
+        assert path.parent == tmp_path and path.suffix == ".lmf"
+        stem, key = path.stem.split("-")
+        assert stem == "clip01" and len(key) == 64 and set(key) <= set("0123456789abcdef")
 
     def test_interrupted_write_keeps_the_previous_file(self, tmp_path, interrupt_writes):
         path = tmp_path / "clip01.lmf"
@@ -353,6 +334,54 @@ class TestFeatureCache:
             save_feature_cache(tmp_path / "cache" / "clip01.lmf",
                                LogMelMatrix(values, "clip01", CFG.frame_rate))
         assert list((tmp_path / "cache").iterdir()) == []
+
+
+class TestFeatureCacheKey:
+    """The key covers exactly what extract_logmel reads: every field but
+    patch_seconds, and the samples."""
+
+    SAMPLES = np.random.default_rng(11).uniform(-0.5, 0.5, 4000).astype(np.float32)
+
+    def key(self, cfg=CFG, samples=SAMPLES, clip_id="x.wav"):
+        return feature_cache_path("cache", AudioClip(samples, cfg.sample_rate, clip_id), cfg)
+
+    @pytest.mark.parametrize("change", [{"sample_rate": 16000}, {"fft_size": 1024},
+                                        {"hop": 128}, {"n_mels": 64}, {"fmin": 10.0},
+                                        {"fmax": 2000.0}, {"log_floor": 1e-6}],
+                             ids=lambda change: next(iter(change)))
+    def test_each_field_extract_logmel_reads_changes_the_key(self, change):
+        assert self.key(dataclasses.replace(CFG, **change)) != self.key()
+
+    def test_window_is_the_one_other_field_and_has_one_value(self):
+        read = {f.name for f in dataclasses.fields(FeatureConfig)} - {"patch_seconds"}
+        assert read == {"sample_rate", "fft_size", "hop", "n_mels", "fmin", "fmax",
+                        "log_floor", "window"}
+        with pytest.raises(ConfigError, match="window"):
+            FeatureConfig(window="hamming")
+
+    def test_sample_rate_and_hop_in_the_same_ratio_change_the_key(self):
+        # The same frame rate, so the header alone cannot tell them apart.
+        other = dataclasses.replace(CFG, sample_rate=4000, hop=128, fmax=2000.0)
+        assert other.frame_rate == CFG.frame_rate
+        assert self.key(other) != self.key()
+
+    def test_patch_seconds_does_not_change_the_key(self):
+        assert self.key(dataclasses.replace(CFG, patch_seconds=1.0)) == self.key()
+
+    def test_one_sample_changes_the_key(self):
+        samples = self.SAMPLES.copy()
+        samples[1234] = np.nextafter(samples[1234], np.float32(1))
+        assert self.key(samples=samples) != self.key()
+
+    def test_the_dtype_of_the_samples_changes_the_key(self):
+        assert self.key(samples=self.SAMPLES.astype(np.float64)) != self.key()
+
+    def test_equal_numbers_of_another_type_give_the_same_key(self):
+        assert self.key(dataclasses.replace(CFG, fmin=0)) == self.key(
+            dataclasses.replace(CFG, fmin=0.0))
+
+    def test_the_clip_ids_directory_and_extension_are_not_the_key(self):
+        assert self.key(clip_id="a/x.wav").name == self.key(clip_id="b/x.flac").name
 
 
 def reference_load_feature_cache(path):

@@ -1,5 +1,6 @@
 """Every output file is replaced atomically: an interrupted writer leaves
-the previous file byte-identical, or no file, and no temporary behind."""
+the previous file byte-identical, or no file, and no temporary behind. And
+only ``features`` names feature cache files."""
 
 import ast
 import json
@@ -77,6 +78,40 @@ class TestEveryWriterIsAtomic:
     ])
     def test_the_scan_tells_writes_from_reads(self, source, lines):
         assert _direct_writes(ast.parse(source)) == lines
+
+
+def _cache_key_lines(tree: ast.AST) -> list[int]:
+    """Line numbers that spell the feature cache's ``.lmf`` suffix in a
+    string, or import ``hashlib``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if ".lmf" in node.value:
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            lines += [node.lineno for alias in node.names if alias.name == "hashlib"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "hashlib":
+            lines.append(node.lineno)
+    return lines
+
+
+class TestOneHomeForTheCacheKey:
+    def test_only_features_names_cache_files_or_hashes(self):
+        found = {path.name: _cache_key_lines(ast.parse(path.read_text(encoding="utf-8")))
+                 for path in sorted(_SRC.glob("*.py")) if path.name != "features.py"}
+        assert {name: lines for name, lines in found.items() if lines} == {}
+
+    @pytest.mark.parametrize("source,lines", [
+        ('import hashlib', [1]),
+        ('import os, hashlib as h', [1]),
+        ('from hashlib import sha256', [1]),
+        ('p = cache / "x.lmf"', [1]),
+        ('p = cache / f"{stem}-{key}.lmf"', [1]),
+        ('p.with_suffix(".lmf")', [1]),
+        ('import hmac\np = "x.wav"', []),
+    ])
+    def test_the_scan_finds_the_suffix_and_the_import(self, source, lines):
+        assert _cache_key_lines(ast.parse(source)) == lines
 
 
 def _assert_untouched(path, before):

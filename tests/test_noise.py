@@ -112,13 +112,13 @@ class TestInjectNoise:
             assert appended >= 2.0 * cfg.patch_seconds
             # Some whole patch must start after the original content ends and
             # finish (including its analysis windows) inside appended audio.
-            patches = patchify(extract_logmel(out, cfg), 0, cfg)
+            patches = patchify(extract_logmel(out, cfg), cfg)
             original_end = originals[out.clip_id].samples.size
             found = False
-            for patch in patches:
-                start = patch.patch_index * cfg.patch_frames * cfg.hop
+            for patch_index in range(len(patches)):
+                start = patch_index * cfg.patch_frames * cfg.hop
                 end = (
-                    (patch.patch_index + 1) * cfg.patch_frames - 1
+                    (patch_index + 1) * cfg.patch_frames - 1
                 ) * cfg.hop + cfg.fft_size
                 if start >= original_end and end <= out.samples.size:
                     found = True

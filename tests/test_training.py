@@ -30,7 +30,6 @@ from noisebench.errors import DataError
 from noisebench.features import (
     LogMelMatrix,
     load_feature_cache,
-    patchify,
     save_feature_cache,
 )
 from noisebench.layers import im2col_bytes
@@ -157,6 +156,15 @@ class ReferenceStandardizer(Standardizer):
         return (patches - self.mean[None, None, :, None]) / self.std[None, None, :, None]
 
 
+def reference_patchify(values, n_patch):
+    """One (n_mels, n_patch) array per patch: a short matrix tiled
+    cyclically, a long one cut into consecutive patches."""
+    n_frames = values.shape[1]
+    if n_frames < n_patch:
+        return [np.tile(values, -(-n_patch // n_frames))[:, :n_patch]]
+    return [values[:, i * n_patch : (i + 1) * n_patch] for i in range(n_frames // n_patch)]
+
+
 def reference_build_patchset(records, features, cfg, n_classes):
     """Per-clip float32 copies, stacked, then cast again."""
     xs, labels, origins, clip_index, clip_ids, clip_labels = [], [], [], [], [], []
@@ -167,8 +175,8 @@ def reference_build_patchset(records, features, cfg, n_classes):
         idx = len(clip_ids)
         clip_ids.append(rec.clip_id)
         clip_labels.append(rec.class_index)
-        for patch in patchify(matrix, rec.class_index, cfg):
-            xs.append(patch.values[None, :, :])
+        for patch in reference_patchify(matrix.values, cfg.patch_frames):
+            xs.append(patch[None, :, :])
             labels.append(rec.class_index)
             origins.append(rec.origin)
             clip_index.append(idx)
