@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .fileio import atomic_write
 
 
@@ -158,7 +158,9 @@ class Conv2d(Layer):
         for s, e in slices:
             rows = self._columns(x_pad, windows, cols, s, e)
             np.matmul(rows, w_mat, out=out[s * ho * wo : e * ho * wo])
-        out += self.bias.value
+        # The bias added over rows of wo * F values, not b * ho * wo rows of
+        # F: the same elementwise sums without numpy's per-row overhead.
+        out.reshape(b * ho, -1)[...] += np.tile(self.bias.value, wo)
         if train:
             self._cache = (x_pad, rows if len(slices) == 1 else None)
         return out.reshape(b, ho, wo, -1)
@@ -188,7 +190,11 @@ class Conv2d(Layer):
                 for j in range(kw):
                     dx[s:e, i : i + ho, j : j + wo, :] += (
                         (g @ w[:, :, i, j]).reshape(e - s, ho, wo, c))
-        self.bias.grad += g_mat.sum(axis=0)
+        # einsum sums each column row after row, like sum(axis=0) on F >= 2
+        # columns but without its per-row overhead. A single column is one
+        # contiguous run, which sum() adds pairwise: einsum would round it
+        # differently.
+        self.bias.grad += np.einsum("ij->j", g_mat) if f > 1 else g_mat.sum(axis=0)
         p = self.pad
         return dx[:, p : x_pad.shape[1] - p, p : x_pad.shape[2] - p, :] if p else dx
 
@@ -297,45 +303,59 @@ class ReLU(Layer):
 class MaxPool(Layer):
     """Non-overlapping max pooling; trailing rows/columns that do not fill a
     window are dropped. The gradient of each window goes to its first
-    maximum in row-major window order."""
+    maximum in row-major window order. Training caches that maximum's offset
+    in the window, one byte per output element below size 16; a window whose
+    maximum is NaN holds the no-match offset size * size and routes nothing."""
 
     kind = "maxpool"
 
     def __init__(self, size=2):
+        if size < 1:
+            raise ConfigError(f"maxpool size must be >= 1, got {size}")
         self.size = size
         self._cache = None
 
     def forward(self, x, train):
         s = self.size
+        if x.ndim != 4:
+            raise ValueError(f"maxpool: input shape {x.shape} is not (batch, height, "
+                             f"width, channels)")
         b, h, w, c = x.shape
         ho, wo = h // s, w // s
         if ho < 1 or wo < 1:
             raise ValueError(f"maxpool: input {x.shape} smaller than window {s}")
         windows = x[:, : ho * s, : wo * s].reshape(b, ho, s, wo, s, c)
-        offsets = [(i, j) for i in range(s) for j in range(s)]
         out = windows[:, :, 0, :, 0].copy()
-        for i, j in offsets[1:]:
-            np.maximum(out, windows[:, :, i, :, j], out=out)
+        for k in range(1, s * s):
+            np.maximum(out, windows[:, :, k // s, :, k % s], out=out)
         if train:
-            # Mark one element per window: the first that equals the maximum.
-            mask = np.empty(windows.shape, dtype=bool)
-            taken = np.zeros(out.shape, dtype=bool)
-            for i, j in offsets:
-                hit = mask[:, :, i, :, j]
-                np.equal(windows[:, :, i, :, j], out, out=hit)
-                hit &= ~taken
-                taken |= hit
-            self._cache = (mask, x.shape)
+            # The first maximum's offset is the count of offsets passed while
+            # none has matched; a NaN window never matches and counts s * s.
+            missed = windows[:, :, 0, :, 0] != out
+            idx = missed.astype(np.min_scalar_type(s * s))
+            differs = np.empty(out.shape, dtype=bool)
+            for k in range(1, s * s):
+                np.not_equal(windows[:, :, k // s, :, k % s], out, out=differs)
+                missed &= differs
+                np.add(idx, missed.view(np.uint8), out=idx)
+            self._cache = (idx, x.shape)
         return out
 
     def backward(self, grad):
-        mask, shape = self._require_cache(self._cache)
-        b, ho, s, wo, _, c = mask.shape
-        routed = (mask * grad[:, :, None, :, None, :]).reshape(b, ho * s, wo * s, c)
-        if routed.shape == shape:
-            return routed
-        dx = np.zeros(shape, dtype=grad.dtype)
-        dx[:, : ho * s, : wo * s] = routed
+        idx, shape = self._require_cache(self._cache)
+        self._cache = None
+        s = self.size
+        b, ho, wo, c = idx.shape
+        dx = np.empty(shape, dtype=grad.dtype)
+        dx[:, ho * s :] = 0
+        dx[:, : ho * s, wo * s :] = 0
+        # Every element of the pooled area is written once, as its offset's
+        # hit times the window gradient: bool * float keeps the bits of a
+        # masked product (-0.0 for a negative gradient, NaN for a NaN one).
+        hit = np.empty(idx.shape, dtype=bool)
+        for k in range(s * s):
+            np.equal(idx, k, out=hit)
+            np.multiply(hit, grad, out=dx[:, k // s : ho * s : s, k % s : wo * s : s])
         return dx
 
     def config(self):
@@ -549,20 +569,36 @@ def _layer_from_config(cfg: dict, dtype) -> Layer:
 
 
 def load_checkpoint(path, dtype=np.float32):
-    """Rebuild (network, meta, extra_arrays) from a checkpoint file."""
+    """Rebuild (network, meta, extra_arrays) from a checkpoint file. A file
+    cut short, with bytes after its last array or with an unreadable header
+    is a DataError."""
     with Path(path).open("rb") as fh:
-        if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
-            raise ConfigError(f"{path}: not a checkpoint file")
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        magic = fh.read(len(_CKPT_MAGIC))
+        if magic != _CKPT_MAGIC:
+            if not _CKPT_MAGIC.startswith(magic):
+                raise ConfigError(f"{path}: not a checkpoint file")
+            raise DataError(f"{path}: checkpoint truncated")
+
+        def read(n):
+            data = fh.read(n)
+            if len(data) != n:
+                raise DataError(f"{path}: checkpoint truncated")
+            return data
+
+        (header_len,) = struct.unpack("<I", read(4))
+        try:
+            header = json.loads(read(header_len).decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+            raise DataError(f"{path}: unreadable checkpoint header ({exc})") from None
         net = Network([_layer_from_config(c, dtype) for c in header["layers"]])
         for layer in net.layers:
             for arr in layer.state_arrays():
-                data = np.frombuffer(fh.read(4 * arr.size), dtype="<f4")
-                arr[...] = data.reshape(arr.shape)
+                arr[...] = np.frombuffer(read(4 * arr.size), dtype="<f4").reshape(arr.shape)
         extra = {}
         for name in sorted(header["extra"]):
             shape = tuple(header["extra"][name])
             count = int(np.prod(shape)) if shape else 1
-            extra[name] = np.frombuffer(fh.read(4 * count), dtype="<f4").reshape(shape).copy()
+            extra[name] = np.frombuffer(read(4 * count), dtype="<f4").reshape(shape).copy()
+        if fh.read(1):
+            raise DataError(f"{path}: trailing bytes after the last checkpoint array")
     return net, header["meta"], extra

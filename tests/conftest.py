@@ -1,12 +1,34 @@
 """Shared helpers: finite-difference gradient checking, tiny datasets and
-interrupted file writes."""
+interrupted file writes; the report header names what float results depend
+on."""
 
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from noisebench import FeatureConfig, gen_synthetic_dataset
+
+
+def machine_facts():
+    """numpy, its BLAS and the cores and thread settings BLAS runs with:
+    float sums, and so criterion 6's numbers, move with the thread count."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = ", ".join(f"{name}={os.environ.get(name, 'unset')}"
+                        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    return (f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}, "
+            f"{len(os.sched_getaffinity(0))} usable cores, {threads}")
+
+
+def pytest_report_header(config):
+    return machine_facts()
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    # -q hides the report header; print the facts at the end instead.
+    if config.get_verbosity() < 0:
+        terminalreporter.write_line(machine_facts())
 
 
 def finite_difference(f, x, step=1e-5):

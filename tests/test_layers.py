@@ -13,7 +13,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from noisebench import build_baseline, layers, load_checkpoint, save_checkpoint
-from noisebench.errors import ConfigError
+from noisebench.errors import ConfigError, DataError
 from noisebench.layers import (
     BatchNorm,
     Conv2d,
@@ -292,6 +292,143 @@ class TestMaxPool:
         expected[:, 0:4:2, 0:6:2, :] = upstream
         np.testing.assert_array_equal(dx, expected)
 
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_size_below_one_is_a_config_error(self, size):
+        with pytest.raises(ConfigError, match="maxpool size"):
+            MaxPool(size)
+
+    @pytest.mark.parametrize("shape", [(2, 4, 4), (1, 2, 4, 4, 1)])
+    def test_input_that_is_not_4d_names_the_layer(self, shape):
+        with pytest.raises(ValueError, match=r"maxpool: input shape \("):
+            MaxPool(2).forward(np.zeros(shape), train=False)
+
+
+def reference_maxpool(x, s):
+    """MaxPool's training forward before it cached offsets: the output and
+    a bool mask over the pooled windows, True at each window's first
+    maximum in row-major order."""
+    b, h, w, c = x.shape
+    ho, wo = h // s, w // s
+    windows = x[:, : ho * s, : wo * s].reshape(b, ho, s, wo, s, c)
+    offsets = [(i, j) for i in range(s) for j in range(s)]
+    out = windows[:, :, 0, :, 0].copy()
+    for i, j in offsets[1:]:
+        np.maximum(out, windows[:, :, i, :, j], out=out)
+    mask = np.empty(windows.shape, dtype=bool)
+    taken = np.zeros(out.shape, dtype=bool)
+    for i, j in offsets:
+        hit = mask[:, :, i, :, j]
+        np.equal(windows[:, :, i, :, j], out, out=hit)
+        hit &= ~taken
+        taken |= hit
+    return out, mask
+
+
+def reference_maxpool_backward(mask, grad, shape):
+    """The masked product that went with ``reference_maxpool``."""
+    b, ho, s, wo, _, c = mask.shape
+    routed = (mask * grad[:, :, None, :, None, :]).reshape(b, ho * s, wo * s, c)
+    if routed.shape == shape:
+        return routed
+    dx = np.zeros(shape, dtype=grad.dtype)
+    dx[:, : ho * s, : wo * s] = routed
+    return dx
+
+
+def tied_pool_input(shape, s, rng):
+    """float32 values that tie within windows: halves rounded, runs of zeros
+    after a ReLU, 0.0 mixed with -0.0 in the third quarter of the batch, and
+    in the last sample a whole NaN window and a single NaN."""
+    x = rng.standard_normal(shape, dtype=np.float32)
+    np.round(x * 2, out=x)
+    q = max(1, shape[0] // 4)
+    np.maximum(x[q:], 0, out=x[q:])
+    third = x[2 * q : 3 * q]
+    np.copysign(third, rng.random(third.shape) - 0.5, out=third)
+    x[-1, :s, :s] = np.nan
+    if shape[1] >= 2 * s and shape[2] >= 2 * s:
+        x[-1, s, s + 1, 0] = np.nan
+    return x
+
+
+class TestMaxPoolBits:
+    """The one-byte offset cache gives the bits of the bool-mask forward and
+    backward, at desk and paper shapes and on a cropped one."""
+
+    SHAPES = [(64, 24, 50, 6), (64, 12, 25, 10), (64, 6, 12, 14),
+              (64, 96, 86, 32), (64, 48, 43, 64), (64, 24, 21, 128), (3, 7, 9, 2)]
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    @pytest.mark.parametrize("shape", SHAPES, ids=["x".join(map(str, s)) for s in SHAPES])
+    def test_output_and_gradient_bits_match_the_mask(self, shape, size):
+        rng = np.random.default_rng(sum(shape) + size)
+        x = tied_pool_input(shape, size, rng)
+        layer = MaxPool(size)
+        out = layer.forward(x, train=True)
+        ref_out, mask = reference_maxpool(x, size)
+        assert out.tobytes() == ref_out.tobytes()
+        np.testing.assert_array_equal(layer.forward(x, train=False), out)
+        layer.forward(x, train=True)
+        grad = rng.standard_normal(out.shape, dtype=np.float32)
+        grad[0, 0, 0, 0] = np.nan
+        grad[-1, -1, -1, -1] = np.inf
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            dx = layer.backward(grad)
+            ref_dx = reference_maxpool_backward(mask, grad, x.shape)
+        assert dx.dtype == np.float32 and dx.shape == x.shape
+        assert dx.tobytes() == ref_dx.tobytes()
+
+    def test_nan_window_routes_no_gradient(self):
+        x = np.zeros((1, 4, 4, 1), dtype=np.float32)
+        x[0, :2, :2] = np.nan
+        x[0, 2, 3] = np.nan
+        layer = MaxPool(2)
+        layer.forward(x, train=True)
+        dx = layer.backward(np.ones((1, 2, 2, 1), dtype=np.float32))
+        assert dx[0, :, :, 0].tolist() == [[0, 0, 1, 0], [0, 0, 0, 0],
+                                           [1, 0, 0, 0], [0, 0, 0, 0]]
+
+    @pytest.mark.parametrize("size,offset_bytes", [(2, 1), (3, 1), (15, 1), (16, 2)])
+    def test_training_cache_holds_one_offset_per_output(self, size, offset_bytes):
+        x = np.random.default_rng(size).standard_normal((2, 2 * size + 1, 3 * size, 3))
+        layer = MaxPool(size)
+        out = layer.forward(x, train=True)
+        cached = [a for a in layer._cache if isinstance(a, np.ndarray)]
+        assert sum(a.nbytes for a in cached) == offset_bytes * out.size
+
+    def test_size_16_routes_to_the_first_maximum(self):
+        rng = np.random.default_rng(16)
+        x = np.round(rng.standard_normal((2, 33, 40, 3)))
+        layer = MaxPool(16)
+        out = layer.forward(x, train=True)
+        ref_out, mask = reference_maxpool(x, 16)
+        grad = rng.standard_normal(out.shape)
+        assert out.tobytes() == ref_out.tobytes()
+        assert layer.backward(grad).tobytes() == (
+            reference_maxpool_backward(mask, grad, x.shape).tobytes())
+
+
+# (filters, input shape) for a 1x1 conv: the bias sees the (rows, F) output
+# matrices of the desk, paper and cropped shapes.
+BIAS_CASES = [(1, (64, 24, 50, 1)), (2, (3, 7, 9, 2)), (3, (64, 12, 25, 2)),
+              (6, (64, 24, 50, 1)), (32, (64, 96, 86, 1)), (128, (64, 24, 21, 2))]
+
+
+@pytest.mark.parametrize("filters,shape", BIAS_CASES, ids=[f"F{f}" for f, _ in BIAS_CASES])
+def test_conv_bias_has_the_bits_of_a_per_row_add_and_sum(filters, shape):
+    rng = np.random.default_rng(filters)
+    layer = Conv2d(shape[3], filters, 1, rng=rng)
+    bias = rng.standard_normal(filters, dtype=np.float32)
+    x = rng.standard_normal(shape, dtype=np.float32)
+    unbiased = layer.forward(x, train=False).reshape(-1, filters)
+    layer.bias.value[...] = bias
+    out = layer.forward(x, train=True)
+    assert out.tobytes() == (unbiased + bias).tobytes()
+    grad = rng.standard_normal(out.shape, dtype=np.float32)
+    layer.backward(grad)
+    expected = np.zeros(filters, dtype=np.float32) + grad.reshape(-1, filters).sum(axis=0)
+    assert layer.bias.grad.tobytes() == expected.tobytes()
+
 
 class TestDense:
     def test_gradcheck(self):
@@ -403,6 +540,33 @@ class TestCheckpoint:
         with pytest.raises(OSError, match="interrupted"):
             save_checkpoint(tmp_path / "ckpt" / "net.nbc", build_baseline(16, 16, 4, seed=9))
         assert list((tmp_path / "ckpt").iterdir()) == []
+
+    @staticmethod
+    def saved(tmp_path):
+        path = tmp_path / "net.nbc"
+        save_checkpoint(path, build_baseline(16, 16, 4, channels=(3, 4, 5), seed=9),
+                        {"epoch": 1}, {"mean": np.arange(4, dtype=np.float32)})
+        return path, path.read_bytes()
+
+    def test_truncated_file_is_a_data_error(self, tmp_path):
+        path, data = self.saved(tmp_path)
+        header_end = 12 + int.from_bytes(data[8:12], "little")
+        for cut in (0, 4, 10, 40, header_end, header_end + 6, len(data) - 7, len(data) - 1):
+            path.write_bytes(data[:cut])
+            with pytest.raises(DataError, match=f"{path.name}: checkpoint truncated"):
+                load_checkpoint(path)
+
+    def test_trailing_bytes_are_a_data_error(self, tmp_path):
+        path, data = self.saved(tmp_path)
+        path.write_bytes(data + b"\0")
+        with pytest.raises(DataError, match=f"{path.name}: trailing bytes"):
+            load_checkpoint(path)
+
+    def test_unreadable_header_is_a_data_error(self, tmp_path):
+        path, data = self.saved(tmp_path)
+        path.write_bytes(data[:12] + b"\xff" + data[13:])
+        with pytest.raises(DataError, match=f"{path.name}: unreadable checkpoint header"):
+            load_checkpoint(path)
 
     def test_rejects_non_checkpoint(self, tmp_path):
         bogus = tmp_path / "x.nbc"
