@@ -164,6 +164,17 @@ def cmd_inject_noise(cfg: config_mod.ExperimentConfig, args) -> int:
     return 0
 
 
+def _remove_stale_runs(out: Path, cell: str, n_runs: int) -> None:
+    """Delete the cell's history and checkpoint files of run indices
+    n_runs and up, left by an earlier run with more runs."""
+    for kind, suffix in (("history", ".csv"), ("checkpoint", ".nbc")):
+        prefix = f"{kind}_{cell}_run"
+        for path in out.glob(f"{prefix}*{suffix}"):
+            index = path.name[len(prefix) : -len(suffix)]
+            if index.isascii() and index.isdigit() and int(index) >= n_runs:
+                path.unlink()
+
+
 def cmd_run(cfg: config_mod.ExperimentConfig, args) -> int:
     clips, manifest, pool = _load_dataset(cfg)
     if cfg.noise is not None:
@@ -199,6 +210,7 @@ def cmd_run(cfg: config_mod.ExperimentConfig, args) -> int:
             n_runs=cfg.n_runs, features=features, on_run=on_run,
         )
         write_report_csv(report, out / f"report_{cell}.csv")
+        _remove_stale_runs(out, cell, cfg.n_runs)
         history = histories[0]
         curve_series.append(
             (cell, [h.epoch for h in history], [h.val_accuracy for h in history])

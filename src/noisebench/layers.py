@@ -79,6 +79,15 @@ def samples_per_slice(sample_bytes: int, batch: int) -> int:
     return max(1, COLS_BYTES // sample_bytes) if sample_bytes else batch
 
 
+def _widen(v: np.ndarray, reps: int) -> np.ndarray:
+    """A per-channel vector as one row of reps * C values (v broadcast to
+    (reps, C), then flattened), so an op over the channels-last pixels of
+    a sample runs as one long row instead of reps short ones. A single
+    channel is returned as it is: numpy already runs a one-element operand
+    as a scalar over the whole array, a little faster than a row."""
+    return v if v.size == 1 else np.broadcast_to(v, (reps, v.size)).reshape(-1)
+
+
 def _windows(x_pad: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """Every kernel window of an NHWC array as a (B, Ho, Wo, kh, kw, C) view:
     copied out, the rows are im2col columns with channels fastest, so each
@@ -89,7 +98,8 @@ def _windows(x_pad: np.ndarray, kh: int, kw: int) -> np.ndarray:
 class Conv2d(Layer):
     """Stride-1 cross-correlation with zero 'same' or 'valid' padding,
     computed as im2col matrix products over batch slices of at most
-    COLS_BYTES of columns (see ``samples_per_slice``). Training caches the
+    COLS_BYTES of columns (see ``samples_per_slice``). 'same' padding
+    copies the input into a zeroed array. Training caches the
     padded input; when the batch is one slice its columns are kept too,
     otherwise backward rebuilds each slice's. A one-channel input lays its
     columns out transposed (see ``_columns``). Weights are stored
@@ -150,7 +160,12 @@ class Conv2d(Layer):
                 f"weight shape {w.shape}"
             )
         p = self.pad
-        x_pad = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0))) if p else x
+        if p:
+            b, h, wd, c = x.shape
+            x_pad = np.zeros((b, h + 2 * p, wd + 2 * p, c), dtype=x.dtype)
+            x_pad[:, p:-p, p:-p] = x
+        else:
+            x_pad = x
         windows, cols, slices = self._slices(x_pad)
         b, ho, wo = windows.shape[:3]
         w_mat = w.transpose(2, 3, 1, 0).reshape(-1, w.shape[0])
@@ -160,7 +175,7 @@ class Conv2d(Layer):
             np.matmul(rows, w_mat, out=out[s * ho * wo : e * ho * wo])
         # The bias added over rows of wo * F values, not b * ho * wo rows of
         # F: the same elementwise sums without numpy's per-row overhead.
-        out.reshape(b * ho, -1)[...] += np.tile(self.bias.value, wo)
+        out.reshape(b * ho, -1)[...] += _widen(self.bias.value, wo)
         if train:
             self._cache = (x_pad, rows if len(slices) == 1 else None)
         return out.reshape(b, ho, wo, -1)
@@ -226,7 +241,13 @@ class BatchNorm(Layer):
     """Per-channel batch normalization with running statistics.
 
     Training normalizes with batch moments (population variance) and updates
-    running statistics; inference uses the running statistics only.
+    running statistics; inference uses the running statistics only. Each
+    per-channel vector is widened to one row of H * W * C values and applied
+    to the input viewed as (batch, H * W * C), into temporaries reused in
+    place: a training forward holds two arrays (x-hat and the output), an
+    inference forward one and backward two. Every elementwise op keeps its
+    operands and order, so the bits are those of plain broadcasts over the
+    channel axis.
     """
 
     kind = "batchnorm"
@@ -246,32 +267,47 @@ class BatchNorm(Layer):
                 f"{self.gamma.name}: input shape {x.shape} incompatible with "
                 f"{self.gamma.value.size} channels"
             )
+        b, h, w, c = x.shape
+        pixels = h * w
+        rows = x.reshape(b, pixels * c)
         if train:
             mean = _channel_mean(x)
-            centered = x - mean.astype(x.dtype)
-            var = _channel_mean(np.square(centered))
+            xhat = rows - _widen(mean.astype(x.dtype), pixels)
+            out = np.square(xhat)
+            var = _channel_mean(out.reshape(x.shape))
             ivar = (1.0 / np.sqrt(var + self.eps)).astype(x.dtype)
-            xhat = centered * ivar
+            xhat *= _widen(ivar, pixels)
             self._cache = (xhat, ivar)
             m = self.momentum
             self.running_mean = (m * self.running_mean + (1 - m) * mean).astype(x.dtype)
             self.running_var = (m * self.running_var + (1 - m) * var).astype(x.dtype)
+            np.multiply(xhat, _widen(self.gamma.value, pixels), out=out)
         else:
             ivar = 1.0 / np.sqrt(self.running_var + self.eps)
-            xhat = (x - self.running_mean) * ivar
-        return self.gamma.value * xhat + self.beta.value
+            out = rows - _widen(self.running_mean, pixels)
+            out *= _widen(ivar, pixels)
+            out *= _widen(self.gamma.value, pixels)
+        out += _widen(self.beta.value, pixels)
+        return out.reshape(x.shape)
 
     def backward(self, grad):
         xhat, ivar = self._require_cache(self._cache)
+        b, h, w, c = grad.shape
+        pixels = h * w
+        dt = grad.dtype
+        rows = grad.reshape(b, pixels * c)
         g_mean = _channel_mean(grad)
-        gx_mean = _channel_mean(grad * xhat)
-        n = grad.size // grad.shape[3]
+        tmp = rows * xhat
+        gx_mean = _channel_mean(tmp.reshape(grad.shape))
+        n = b * pixels
         self.gamma.grad += n * gx_mean
         self.beta.grad += n * g_mean
         # Standard batch-norm input gradient through the batch moments, with
         # dxhat = gamma * grad folded into one per-channel scale.
-        dt = grad.dtype
-        return (grad - g_mean.astype(dt) - xhat * gx_mean.astype(dt)) * (self.gamma.value * ivar)
+        dx = rows - _widen(g_mean.astype(dt), pixels)
+        dx -= np.multiply(xhat, _widen(gx_mean.astype(dt), pixels), out=tmp)
+        dx *= _widen(self.gamma.value * ivar, pixels)
+        return dx.reshape(grad.shape)
 
     def params(self):
         return [self.gamma, self.beta]
@@ -302,10 +338,13 @@ class ReLU(Layer):
 
 class MaxPool(Layer):
     """Non-overlapping max pooling; trailing rows/columns that do not fill a
-    window are dropped. The gradient of each window goes to its first
-    maximum in row-major window order. Training caches that maximum's offset
-    in the window, one byte per output element below size 16; a window whose
-    maximum is NaN holds the no-match offset size * size and routes nothing."""
+    window are dropped. The window maximum starts from np.maximum of the first
+    two offsets, with no copy of the first, and folds in the rest in row-major
+    order: the bits of a running maximum from offset 0. The gradient of each
+    window goes to its first maximum in row-major window order. Training
+    caches that maximum's offset in the window, one byte per output element
+    below size 16; a window whose maximum is NaN holds the no-match offset
+    size * size and routes nothing."""
 
     kind = "maxpool"
 
@@ -325,8 +364,9 @@ class MaxPool(Layer):
         if ho < 1 or wo < 1:
             raise ValueError(f"maxpool: input {x.shape} smaller than window {s}")
         windows = x[:, : ho * s, : wo * s].reshape(b, ho, s, wo, s, c)
-        out = windows[:, :, 0, :, 0].copy()
-        for k in range(1, s * s):
+        out = (np.maximum(windows[:, :, 0, :, 0], windows[:, :, 0, :, 1]) if s > 1
+               else windows[:, :, 0, :, 0].copy())
+        for k in range(2, s * s):
             np.maximum(out, windows[:, :, k // s, :, k % s], out=out)
         if train:
             # The first maximum's offset is the count of offsets passed while

@@ -852,6 +852,17 @@ class TestRun:
             report_b = tmp_path / "b" / report_a.name
             assert report_a.read_bytes() == report_b.read_bytes()
 
+    def test_fewer_runs_leave_no_stale_run_files(self, tmp_path, capsys):
+        path, cfg = base_config(tmp_path)
+        out = tmp_path / "out"
+        for n_runs in (3, 2):
+            cfg["train"]["n_runs"] = n_runs
+            path.write_text(json.dumps(cfg), encoding="utf-8")
+            assert main(["run", "--config", str(path)]) == 0
+        assert sorted(p.name for p in out.glob("*_run*")) == [
+            "checkpoint_all_cce_run0.nbc", "checkpoint_all_cce_run1.nbc",
+            "history_all_cce_run0.csv", "history_all_cce_run1.csv"]
+
     def test_report_command_summarizes(self, tmp_path, capsys):
         path, cfg = base_config(tmp_path)
         assert main(["run", "--config", str(path)]) == 0

@@ -233,8 +233,9 @@ class TestBatchNorm:
         assert out.dtype == np.float32
         assert np.abs(out.astype(np.float64).mean(axis=(0, 1, 2))).max() < 1e-6
 
-    # The input shapes of bn1 and bn2 at desk shape, then of bn2 at paper shape.
-    @pytest.mark.parametrize("shape", [(64, 24, 50, 1), (64, 12, 25, 6)], ids=["bn1", "bn2"])
+    # The input shapes of bn1, bn2 and bn3 at desk shape.
+    @pytest.mark.parametrize("shape", [(64, 24, 50, 1), (64, 12, 25, 6), (64, 6, 12, 10)],
+                             ids=["bn1", "bn2", "bn3"])
     def test_channel_mean_has_the_bits_of_a_plain_reduction(self, shape):
         x = np.random.default_rng(5).standard_normal(shape).astype(np.float32)
         assert np.array_equal(_channel_mean(x), x.mean(axis=(0, 1, 2), dtype=np.float64))
@@ -266,6 +267,114 @@ class TestBatchNorm:
             layer_gradcheck(
                 lambda rng: BatchNorm(3, dtype=np.float64), (8, 4, 5, 3), seed
             )
+
+
+def reference_batchnorm_train(x, gamma, beta, running_mean, running_var, eps, momentum):
+    """BatchNorm's training forward as plain broadcasts over the channel
+    axis: (output, xhat, ivar, running mean, running variance)."""
+    dt = x.dtype
+    mean = _channel_mean(x)
+    centered = x - mean.astype(dt)
+    var = _channel_mean(np.square(centered))
+    ivar = (1.0 / np.sqrt(var + eps)).astype(dt)
+    xhat = centered * ivar
+    m = momentum
+    return (gamma * xhat + beta, xhat, ivar,
+            (m * running_mean + (1 - m) * mean).astype(dt),
+            (m * running_var + (1 - m) * var).astype(dt))
+
+
+def reference_batchnorm_backward(grad, xhat, ivar, gamma):
+    """BatchNorm's backward as plain broadcasts: (input gradient, gamma
+    gradient, beta gradient)."""
+    dt = grad.dtype
+    g_mean = _channel_mean(grad)
+    gx_mean = _channel_mean(grad * xhat)
+    n = grad.size // grad.shape[3]
+    dx = (grad - g_mean.astype(dt) - xhat * gx_mean.astype(dt)) * (gamma * ivar)
+    return dx, n * gx_mean, n * g_mean
+
+
+def reference_batchnorm_infer(x, gamma, beta, running_mean, running_var, eps):
+    ivar = 1.0 / np.sqrt(running_var + eps)
+    return gamma * ((x - running_mean) * ivar) + beta
+
+
+def signed_zero_input(shape, dtype, rng, nan):
+    """Shifted, scaled normals with a tenth of the entries 0.0 or -0.0 and,
+    if asked, NaNs in the last sample."""
+    x = (0.5 + 2.0 * rng.standard_normal(shape)).astype(dtype)
+    zeros = rng.random(shape) < 0.1
+    x[zeros] = np.copysign(0.0, rng.random(int(zeros.sum())) - 0.5)
+    if nan:
+        x[-1, 0, 0, 0] = np.nan
+        x[-1, -1, -1, -1] = np.nan
+    return x
+
+
+def random_batchnorm(channels, dtype, rng):
+    layer = BatchNorm(channels, dtype=dtype)
+    layer.gamma.value[...] = rng.uniform(0.5, 1.5, channels)
+    layer.beta.value[...] = rng.standard_normal(channels)
+    layer.running_mean[...] = rng.standard_normal(channels)
+    layer.running_var[...] = rng.uniform(0.5, 2.0, channels)
+    layer.gamma.grad[...] = rng.standard_normal(channels)
+    layer.beta.grad[...] = rng.standard_normal(channels)
+    return layer
+
+
+class TestBatchNormBits:
+    """The training forward, backward and inference forward give the bytes
+    of the plain per-channel broadcasts, at the desk shapes of bn1-bn3, the
+    paper shapes of bn2-bn3 and an odd one; inference also on a 146-patch
+    desk evaluation batch."""
+
+    TRAIN = [(64, 24, 50, 1), (64, 12, 25, 6), (64, 6, 12, 10),
+             (64, 48, 43, 32), (64, 24, 21, 64), (3, 7, 9, 2)]
+    INFER = TRAIN + [(146, 12, 25, 6)]
+
+    @pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", TRAIN, ids=["x".join(map(str, s)) for s in TRAIN])
+    def test_training_forward_and_backward(self, shape, dtype, nan):
+        rng = np.random.default_rng(sum(shape))
+        x = signed_zero_input(shape, dtype, rng, nan)
+        layer = random_batchnorm(shape[3], dtype, rng)
+        gamma, beta = layer.gamma.value.copy(), layer.beta.value.copy()
+        dgamma, dbeta = layer.gamma.grad.copy(), layer.beta.grad.copy()
+        with np.errstate(invalid="ignore"):
+            want, xhat, ivar, r_mean, r_var = reference_batchnorm_train(
+                x, gamma, beta, layer.running_mean, layer.running_var,
+                layer.eps, layer.momentum)
+            out = layer.forward(x, train=True)
+        assert out.dtype == dtype and out.shape == shape
+        assert out.tobytes() == want.tobytes()
+        assert layer.running_mean.tobytes() == r_mean.tobytes()
+        assert layer.running_var.tobytes() == r_var.tobytes()
+        grad = signed_zero_input(shape, dtype, rng, nan)
+        with np.errstate(invalid="ignore"):
+            want_dx, want_dgamma, want_dbeta = reference_batchnorm_backward(
+                grad, xhat, ivar, gamma)
+            dx = layer.backward(grad)
+        assert dx.dtype == dtype and dx.shape == shape
+        assert dx.tobytes() == want_dx.tobytes()
+        dgamma += want_dgamma
+        dbeta += want_dbeta
+        assert layer.gamma.grad.tobytes() == dgamma.tobytes()
+        assert layer.beta.grad.tobytes() == dbeta.tobytes()
+
+    @pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", INFER, ids=["x".join(map(str, s)) for s in INFER])
+    def test_inference_forward(self, shape, dtype, nan):
+        rng = np.random.default_rng(sum(shape) + 1)
+        x = signed_zero_input(shape, dtype, rng, nan)
+        layer = random_batchnorm(shape[3], dtype, rng)
+        out = layer.forward(x, train=False)
+        want = reference_batchnorm_infer(x, layer.gamma.value, layer.beta.value,
+                                         layer.running_mean, layer.running_var, layer.eps)
+        assert out.dtype == dtype and out.shape == shape
+        assert out.tobytes() == want.tobytes()
 
 
 class TestMaxPool:
