@@ -80,12 +80,14 @@ def samples_per_slice(sample_bytes: int, batch: int) -> int:
 
 
 def _widen(v: np.ndarray, reps: int) -> np.ndarray:
-    """A per-channel vector as one row of reps * C values (v broadcast to
+    """A per-channel vector as one row of reps * C values (v repeated to
     (reps, C), then flattened), so an op over the channels-last pixels of
-    a sample runs as one long row instead of reps short ones. A single
-    channel is returned as it is: numpy already runs a one-element operand
-    as a scalar over the whole array, a little faster than a row."""
-    return v if v.size == 1 else np.broadcast_to(v, (reps, v.size)).reshape(-1)
+    a sample runs as one long row instead of reps short ones. The array
+    method repeat costs about 2 us a call against 4-6 for np.broadcast_to
+    and a reshaping copy. A one-element vector is returned as it is: numpy
+    runs it as a scalar over the whole array, about twice as fast as over
+    a row (desk bn1 inference 0.05 against 0.10 ms on 2 cores)."""
+    return v if v.size == 1 else v[None].repeat(reps, axis=0).ravel()
 
 
 def _windows(x_pad: np.ndarray, kh: int, kw: int) -> np.ndarray:
@@ -339,8 +341,9 @@ class ReLU(Layer):
 class MaxPool(Layer):
     """Non-overlapping max pooling; trailing rows/columns that do not fill a
     window are dropped. The window maximum starts from np.maximum of the first
-    two offsets, with no copy of the first, and folds in the rest in row-major
-    order: the bits of a running maximum from offset 0. The gradient of each
+    two offsets (offset 0 with itself at size 1, which keeps its bits), with
+    no copy of the first, and folds in the rest in row-major order: the bits
+    of a running maximum from offset 0. The gradient of each
     window goes to its first maximum in row-major window order. Training
     caches that maximum's offset in the window, one byte per output element
     below size 16; a window whose maximum is NaN holds the no-match offset
@@ -364,8 +367,7 @@ class MaxPool(Layer):
         if ho < 1 or wo < 1:
             raise ValueError(f"maxpool: input {x.shape} smaller than window {s}")
         windows = x[:, : ho * s, : wo * s].reshape(b, ho, s, wo, s, c)
-        out = (np.maximum(windows[:, :, 0, :, 0], windows[:, :, 0, :, 1]) if s > 1
-               else windows[:, :, 0, :, 0].copy())
+        out = np.maximum(windows[:, :, 0, :, 0], windows[:, :, 0, :, 1 % s])
         for k in range(2, s * s):
             np.maximum(out, windows[:, :, k // s, :, k % s], out=out)
         if train:
