@@ -53,17 +53,16 @@ def _load_dataset(cfg: config_mod.ExperimentConfig, decode: bool = True):
     return clips, manifest, []
 
 
-def _cache_dir(cfg: config_mod.ExperimentConfig, args) -> Path:
+def _cache_dir(cfg: config_mod.ExperimentConfig) -> Path:
     """The config's cache_dir, else ``features`` under the output directory."""
-    return (cfg.resolve(cfg.cache_dir) if cfg.cache_dir
-            else Path(args.output or cfg.output_dir) / "features")
+    return cfg.resolve(cfg.cache_dir) if cfg.cache_dir else cfg.output_dir / "features"
 
 
 def cmd_synth_data(cfg: config_mod.ExperimentConfig, args) -> int:
     if "synthetic" not in cfg.dataset:
         raise ConfigError("synth-data requires a dataset.synthetic section")
     clips, manifest, distractors = gen_synthetic_dataset(**cfg.dataset["synthetic"])
-    out = Path(args.output or cfg.output_dir)
+    out = cfg.output_dir
     audio_dir = out / "audio"
     for clip in clips:
         write_wav(audio_dir / clip.clip_id, clip)
@@ -125,7 +124,7 @@ def _refresh_cache(sources: dict, cache_dir: Path, feat_cfg, jobs: int, force: b
 
 
 def cmd_features(cfg: config_mod.ExperimentConfig, args) -> int:
-    cache_dir = _cache_dir(cfg, args)
+    cache_dir = _cache_dir(cfg)
     clips, manifest, _ = _load_dataset(cfg, decode=False)
     if "synthetic" in cfg.dataset:
         sources = {clip.clip_id: clip for clip in clips}
@@ -148,7 +147,7 @@ def cmd_inject_noise(cfg: config_mod.ExperimentConfig, args) -> int:
         clips, manifest, cfg.noise, pool, patch_seconds=cfg.features.patch_seconds)
     if log is None:
         raise DataError("dataset has no noisy-origin train records to corrupt")
-    out = Path(args.output or cfg.output_dir)
+    out = cfg.output_dir
     audio_dir = out / "audio"
     for clip in new_clips:
         write_wav(audio_dir / clip.clip_id, clip)
@@ -181,15 +180,14 @@ def cmd_run(cfg: config_mod.ExperimentConfig, args) -> int:
         clips, manifest, _ = corrupt_noisy_train(clips, manifest, cfg.noise, pool,
                                                  patch_seconds=cfg.features.patch_seconds)
     # Every clip is in memory, keyed here: a corrupted clip is another input.
-    paths, _, _ = _refresh_cache({clip.clip_id: clip for clip in clips}, _cache_dir(cfg, args),
+    paths, _, _ = _refresh_cache({clip.clip_id: clip for clip in clips}, _cache_dir(cfg),
                                  cfg.features, args.jobs, args.force)
     features = {clip.clip_id: load_feature_cache(paths[clip.clip_id], clip.clip_id, cfg.features)
                 for clip in clips}
-    out = Path(args.output or cfg.output_dir)
+    out = cfg.output_dir
 
     curve_series = []
-    for subset, loss in config_mod.experiment_cells(cfg.subsets, cfg.losses):
-        cell = f"{subset.value}_{loss.label()}"
+    for cell, subset, loss in config_mod.experiment_cells(cfg.subsets, cfg.losses):
         cell_cfg = dataclasses.replace(cfg.train, subset=subset, loss=loss)
         histories = {}
 
@@ -224,15 +222,14 @@ def cmd_run(cfg: config_mod.ExperimentConfig, args) -> int:
 
 
 def cmd_report(cfg: config_mod.ExperimentConfig, args) -> int:
-    out = Path(args.output or cfg.output_dir)
-    reports = sorted(out.glob("report_*.csv"))
-    if not reports:
-        raise DataError(f"no report CSVs found under {out}")
+    """Summarize the report CSV of every cell the config lists, sorted by
+    cell name."""
+    out = cfg.output_dir
+    cells = sorted(cell for cell, _, _ in config_mod.experiment_cells(cfg.subsets, cfg.losses))
+    reports = [(cell, read_report_csv(out / f"report_{cell}.csv")) for cell in cells]
     print(f"{'cell':<40s} {'accuracy':>14s}")
     lines = [["cell", "mean", "ci95_halfwidth"]]
-    for path in reports:
-        data = read_report_csv(path)
-        cell = path.stem.removeprefix("report_")
+    for cell, data in reports:
         print(f"{cell:<40s} {100 * data['mean']:>8.1f}±{100 * data['ci95_halfwidth']:.1f}")
         lines.append([cell, f"{data['mean']:.6f}", f"{data['ci95_halfwidth']:.6f}"])
     with atomic_csv_writer(out / "summary.csv") as writer:
@@ -261,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         "features": "extract and cache log-mel features",
         "inject-noise": "corrupt noisy-origin labels per the noise spec",
         "run": "train and evaluate every (subset, loss) cell in the config",
-        "report": "summarize report CSVs from a previous run",
+        "report": "summarize the report CSVs of the config's cells",
     }
     for name in _COMMANDS:
         p = sub.add_parser(name, help=help_text[name])
@@ -273,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the training seed from the config")
         p.add_argument("--output", default=None,
-                       help="override output_dir from the config")
+                       help="override output_dir from the config; taken relative to "
+                            "the working directory")
     return parser
 
 
@@ -283,6 +281,8 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         cfg = config_mod.load_config(args.config)
+        if args.output:
+            cfg.output_dir = Path(args.output)
         if args.seed is not None:
             try:
                 cfg.train = dataclasses.replace(cfg.train, seed=args.seed)

@@ -22,7 +22,7 @@ from pathlib import Path
 from .datasets import Subset, check_synthetic
 from .errors import ConfigError
 from .features import FeatureConfig
-from .losses import LossConfig
+from .losses import LossConfig, LossFamily
 from .noise import NoiseSpec
 from .training import TrainConfig, check_n_runs
 
@@ -42,8 +42,7 @@ class ExperimentConfig:
 
     def resolve(self, path: str) -> Path:
         """Paths in a config file are taken relative to the file itself."""
-        p = Path(path)
-        return p if p.is_absolute() else self.base_dir / p
+        return self.base_dir / path
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -171,19 +170,32 @@ def parse_config(raw: dict, base_dir: str | Path = ".") -> ExperimentConfig:
     train, subsets, losses, n_runs = _build(_train, root["train"], "train", _TRAIN)
     losses = [_build(LossConfig, item, f"train/losses/{i}", required=("family",))
               for i, item in enumerate(losses)]
+    experiment_cells(subsets, losses)
+    # output_dir, like every path in the file, is relative to the file.
+    base_dir = Path(base_dir)
     return ExperimentConfig(dataset, features, cache_dir, noise, train, subsets, losses, n_runs,
-                            Path(root["output_dir"]), Path(base_dir))
+                            base_dir / root["output_dir"], base_dir)
 
 
 def experiment_cells(
     subsets: list[Subset], losses: list[LossConfig]
-) -> list[tuple[Subset, LossConfig]]:
-    """The (subset, loss) grid actually run: robust losses are skipped on
-    the clean subset, where there is no noisy data for them to act on."""
-    cells = []
-    for subset in subsets:
-        for loss in losses:
-            if subset is Subset.CLEAN and loss.family.value != "cce":
+) -> list[tuple[str, Subset, LossConfig]]:
+    """The (name, subset, loss) grid actually run, each cell named
+    ``<subset>_<loss label>``: robust losses are skipped on the clean
+    subset, where there is no noisy data for them to act on. An empty grid,
+    or a subset or a loss that repeats a cell, which would train into the
+    same files, is a ConfigError naming it."""
+    cells = {}
+    for s, subset in enumerate(subsets):
+        for i, loss in enumerate(losses):
+            if subset is Subset.CLEAN and loss.family is not LossFamily.CCE:
                 continue
-            cells.append((subset, loss))
-    return cells
+            name = f"{subset.value}_{loss.label()}"
+            if name in cells:
+                where = (f"train/losses/{i}" if cells[name][0] == s
+                         else f"train/subsets/{s}")
+                raise _invalid(where, f"repeats the cell {name}")
+            cells[name] = s, subset, loss
+    if not cells:
+        raise _invalid("train", "no cell to run: robust losses are skipped on the clean subset")
+    return [(name, subset, loss) for name, (_, subset, loss) in cells.items()]

@@ -76,7 +76,6 @@ class LossConfig:
     m: float = 0.5
     l: float = 1.9
     selective: bool = False
-    soft_full_gradient: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "family", LossFamily(self.family))
@@ -88,13 +87,6 @@ class LossConfig:
         name = _PARAMETER.get(self.family)
         suffix = f"_{name[0]}{getattr(self, name):g}" if name else ""
         return self.family.value + suffix + ("_sel" if self.selective else "")
-
-    def to_dict(self) -> dict:
-        out = {"family": self.family.value, "selective": self.selective}
-        name = _PARAMETER.get(self.family)
-        if name:
-            out[name] = getattr(self, name)
-        return out
 
 
 def one_hot(labels, n_classes: int) -> np.ndarray:
@@ -119,23 +111,17 @@ def cce(probs: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return losses, grads
 
 
-def soft_bootstrap(probs: np.ndarray, targets: np.ndarray, beta: float,
-                   full_gradient: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def soft_bootstrap(probs: np.ndarray, targets: np.ndarray,
+                   beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Bootstrapped cross-entropy -sum_k (beta y_k + (1-beta) p_k) log(p_k).
 
-    The gradient differentiates through both occurrences of the prediction
-    by default; ``full_gradient=False`` treats the blended target as a
-    constant instead.
+    The gradient differentiates through both occurrences of the prediction.
     """
     check_parameter("beta", beta)
     p = _clamped(probs)
     log_p = np.log(p)
     losses = -((beta * targets + (1 - beta) * p) * log_p).sum(axis=1)
-    grads = -beta * targets / p
-    if full_gradient:
-        grads = grads - (1 - beta) * (log_p + 1.0)
-    else:
-        grads = grads - (1 - beta)
+    grads = -beta * targets / p - (1 - beta) * (log_p + 1.0)
     return losses, grads
 
 
@@ -163,19 +149,23 @@ def _threshold(losses: np.ndarray, cfg: LossConfig) -> float:
     raise ConfigError(f"{cfg.family.value} is not a masking family")
 
 
-def mask_threshold(losses: np.ndarray, cfg: LossConfig) -> tuple[np.ndarray, float]:
+def mask_threshold(losses: np.ndarray, cfg: LossConfig,
+                   keep: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Kept sample indices and the threshold for a masking loss config.
 
     ``mask_max`` uses t = m * max(L); ``mask_stat`` uses t = median(L) +
-    l * std(L) with the population standard deviation. Samples with loss
-    strictly greater than t are discarded. If that would discard everything
-    (an all-equal batch with m < 1, say), all samples are kept instead.
+    l * std(L) with the population standard deviation, both over the whole
+    batch. Samples with loss strictly greater than t are discarded, unless
+    the bool mask ``keep`` marks them as never discarded. If that would
+    discard everything (an all-equal batch with m < 1, say), all samples
+    are kept instead.
     """
     losses = np.asarray(losses, dtype=np.float64)
     if losses.ndim != 1 or losses.size == 0:
         raise ValueError("losses must be a non-empty 1-d array")
     t = _threshold(losses, cfg)
-    kept = np.flatnonzero(losses <= t)
+    within = losses <= t
+    kept = np.flatnonzero(within if keep is None else keep | within)
     if kept.size == 0:
         kept = np.arange(losses.size)
     return kept, t
@@ -200,9 +190,9 @@ def selective_batch_loss(
     """Total batch loss and per-sample gradients of that total.
 
     The total is the arithmetic mean over contributing samples; samples
-    discarded by masking contribute zero loss and zero gradient. With
-    ``selective`` set, clean-origin samples always contribute plain
-    cross-entropy and are never discarded.
+    discarded by masking (``mask_threshold``) contribute zero loss and zero
+    gradient. With ``selective`` set, clean-origin samples always contribute
+    plain cross-entropy and are never discarded.
     """
     probs = np.asarray(probs)
     targets = np.asarray(targets)
@@ -214,28 +204,20 @@ def selective_batch_loss(
     clean = _clean_mask(origins, batch)
 
     family = cfg.family
-    if family is LossFamily.CCE:
-        losses, grads = cce(probs, targets)
-        kept = np.arange(batch)
-    elif family in (LossFamily.SOFT, LossFamily.LQ):
-        if family is LossFamily.SOFT:
-            losses, grads = soft_bootstrap(probs, targets, cfg.beta, cfg.soft_full_gradient)
-        else:
-            losses, grads = lq_loss(probs, targets, cfg.q)
-        if cfg.selective and clean.any():
-            cce_losses, cce_grads = cce(probs, targets)
-            losses = np.where(clean, cce_losses, losses)
-            grads = np.where(clean[:, None], cce_grads, grads)
-        kept = np.arange(batch)
+    if family is LossFamily.SOFT:
+        losses, grads = soft_bootstrap(probs, targets, cfg.beta)
+    elif family is LossFamily.LQ:
+        losses, grads = lq_loss(probs, targets, cfg.q)
     else:
         losses, grads = cce(probs, targets)
-        # The threshold is computed over the whole batch; with selective
-        # application only noisy-origin samples are eligible for discarding.
-        # The keep-all fallback applies to the final kept set.
-        within = losses <= _threshold(losses.astype(np.float64), cfg)
-        kept = np.flatnonzero((clean | within) if cfg.selective else within)
-        if kept.size == 0:
-            kept = np.arange(batch)
+    if family in (LossFamily.SOFT, LossFamily.LQ) and cfg.selective and clean.any():
+        cce_losses, cce_grads = cce(probs, targets)
+        losses = np.where(clean, cce_losses, losses)
+        grads = np.where(clean[:, None], cce_grads, grads)
+    if family in (LossFamily.MASK_MAX, LossFamily.MASK_STAT):
+        kept, _ = mask_threshold(losses, cfg, keep=clean if cfg.selective else None)
+    else:
+        kept = np.arange(batch)
 
     total = float(losses[kept].mean())
     out_grads = np.zeros_like(grads)

@@ -293,11 +293,12 @@ def train(
 
 @dataclass
 class RunReport:
+    """Per-run accuracies of seeds seed, seed + 1, ... and their summary."""
+
     accuracies: list[float]
     mean: float
     ci95_halfwidth: float
-    n_runs: int
-    config: dict
+    seed: int
 
     def format_text(self) -> str:
         return f"{100 * self.mean:.1f}±{100 * self.ci95_halfwidth:.1f}"
@@ -403,11 +404,10 @@ def run_single(
     manifest: DatasetManifest,
     feat_cfg: FeatureConfig,
     cfg: TrainConfig,
-    features: dict[str, LogMelMatrix] | None = None,
+    features: dict[str, LogMelMatrix],
 ) -> RunResult:
-    """One full train/evaluate pass for one seed."""
-    if features is None:
-        features = precompute_features(clips, feat_cfg)
+    """One full train/evaluate pass for one seed, on the clips' log-mels
+    ``features`` (clip id -> LogMelMatrix)."""
     subset = select_subset(manifest, cfg.subset, durations=clip_durations(clips))
     train_records, val_records = stratified_val_split(
         subset.records, cfg.val_fraction, cfg.seed
@@ -446,15 +446,13 @@ def run_experiment(
     manifest: DatasetManifest,
     feat_cfg: FeatureConfig,
     cfg: TrainConfig,
+    features: dict[str, LogMelMatrix],
     n_runs: int = 7,
-    features: dict[str, LogMelMatrix] | None = None,
     on_run=None,
 ) -> RunReport:
     """Repeat run_single with seeds cfg.seed, cfg.seed + 1, ... and report
     the mean accuracy with its 95% confidence interval."""
     check_n_runs(n_runs)
-    if features is None:
-        features = precompute_features(clips, feat_cfg)
     accuracies: list[float] = []
     for i in range(n_runs):
         run_cfg = replace(cfg, seed=cfg.seed + i)
@@ -467,26 +465,11 @@ def run_experiment(
         accuracies.append(result.accuracy)
         if on_run is not None:
             on_run(i, run_cfg, result)
-    report_config = {
-        "subset": cfg.subset.value,
-        "loss": cfg.loss.to_dict(),
-        "batch_size": cfg.batch_size,
-        "initial_lr": cfg.initial_lr,
-        "plateau_window": cfg.plateau_window,
-        "patience": cfg.patience,
-        "val_fraction": cfg.val_fraction,
-        "max_epochs": cfg.max_epochs,
-        "seed": cfg.seed,
-        "n_runs": n_runs,
-        "channels": list(cfg.channels),
-        "kernel_size": cfg.kernel_size,
-    }
     return RunReport(
         accuracies=accuracies,
         mean=float(np.mean(accuracies)),
         ci95_halfwidth=confidence_halfwidth(accuracies),
-        n_runs=n_runs,
-        config=report_config,
+        seed=cfg.seed,
     )
 
 
@@ -509,16 +492,21 @@ def write_report_csv(report: RunReport, path: str | Path) -> None:
     with atomic_csv_writer(path) as writer:
         writer.writerow(["kind", "run", "seed", "accuracy"])
         for i, acc in enumerate(report.accuracies):
-            writer.writerow(["run", i, report.config["seed"] + i, f"{acc:.6f}"])
+            writer.writerow(["run", i, report.seed + i, f"{acc:.6f}"])
         writer.writerow(["mean", "", "", f"{report.mean:.6f}"])
         writer.writerow(["ci95_halfwidth", "", "", f"{report.ci95_halfwidth:.6f}"])
 
 
 def read_report_csv(path: str | Path) -> dict:
-    """Read ``write_report_csv``'s output; a ``DataError`` names the file if a
-    row has an unknown kind or no number, or the summary rows are missing."""
+    """Read ``write_report_csv``'s output; a ``DataError`` names the file if it
+    is missing, a row has an unknown kind or no number, or the summary rows
+    are missing."""
     out = {"accuracies": [], "mean": None, "ci95_halfwidth": None}
-    with Path(path).open(newline="", encoding="utf-8") as fh:
+    try:
+        fh = Path(path).open(newline="", encoding="utf-8")
+    except FileNotFoundError:
+        raise DataError(f"{path}: no such report") from None
+    with fh:
         reader = csv.DictReader(fh)
         for row in reader:
             kind = row.get("kind")

@@ -455,7 +455,8 @@ def test_criterion_8_full_scale_clean_subset():
         base = audio_root if rec.split is Split.TRAIN else root / "FSDnoisy18k.audio_test"
         clips.append(read_wav(base / rec.clip_id, rec.clip_id))
     cfg = TrainConfig(seed=1, subset=Subset.CLEAN)
-    rep = run_experiment(clips, manifest, FeatureConfig(), cfg, n_runs=7)
+    rep = run_experiment(clips, manifest, FeatureConfig(), cfg,
+                         features=precompute_features(clips, FeatureConfig()), n_runs=7)
     report(
         8,
         abs(rep.mean - 0.602) <= 0.04,

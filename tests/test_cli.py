@@ -125,6 +125,45 @@ class TestParsing:
         assert f"config invalid at {section}/{key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("train,place", [
+        ({"losses": [{"family": "lq"}, {"family": "lq"}]}, "train/losses/1"),
+        ({"losses": [{"family": "cce"}, {"family": "lq"}, {"family": "cce", "q": 0.5}]},
+         "train/losses/2"),
+        ({"subsets": ["all", "noisy", "all"]}, "train/subsets/2"),
+    ], ids=["lq twice", "cce with an unread q", "subset twice"])
+    def test_a_repeated_cell_is_a_config_error(self, tmp_path, capsys, train, place):
+        # Two entries that train the same cell would write the same files.
+        path, cfg = base_config(tmp_path)
+        cfg["train"].update(train)
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 1
+        assert f"config invalid at {place}: repeats the cell all_" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_grid_without_a_cell_is_a_config_error(self, tmp_path, capsys):
+        path, cfg = base_config(tmp_path)
+        cfg["train"].update(subsets=["clean"], losses=[{"family": "lq"}])
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 1
+        assert "config invalid at train: no cell to run" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_output_dir_is_relative_to_the_config_file(self, tmp_path, monkeypatch):
+        _, cfg = base_config(tmp_path)
+        cfg["output_dir"] = "results"
+        path = tmp_path / "configs" / "exp.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        cwd = tmp_path / "elsewhere"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main(["synth-data", "--config", str(path)]) == 0
+        assert (path.parent / "results" / "manifest.csv").exists()
+        assert not (cwd / "results").exists()
+        # --output names a directory from the command line: relative to the caller.
+        assert main(["synth-data", "--config", str(path), "--output", "flagged"]) == 0
+        assert (cwd / "flagged" / "manifest.csv").exists()
+
     def test_negative_seed_flag_is_a_config_error(self, tmp_path, capsys):
         path, _ = base_config(tmp_path)
         assert main(["run", "--config", str(path), "--seed", "-1"]) == 1
@@ -189,7 +228,6 @@ _FIELDS = [
     (("train", "losses", 0, "m"), "number", [0, 1], [-0.01, 1.01]),
     (("train", "losses", 0, "l"), "number", [0, 100], [-0.01]),
     (("train", "losses", 0, "selective"), "boolean", [True, False], []),
-    (("train", "losses", 0, "soft_full_gradient"), "boolean", [False], []),
     (("output_dir",), "string", [], []),
 ]
 
@@ -233,6 +271,12 @@ def _corpus():
         for value in (3, "x", [], None):
             add({keys: value}, place, name=f"{place}={json.dumps(value)}")
     add({("bogus",): 1}, "(root)", "bogus")
+    # A removed key is unknown whatever its value, so a config written for
+    # the constant-target soft bootstrap variant fails instead of training
+    # the full gradient.
+    for value in (False, "true", 1, [True], None):
+        add({("train", "losses", 0, "soft_full_gradient"): value}, "train/losses/0",
+            "soft_full_gradient")
     for keys in [("dataset",), ("features",), ("train",), ("output_dir",),
                  *[("dataset", "synthetic", k) for k in
                    ("n_classes", "clips_per_class", "clean_fraction", "sample_rate", "seed")],
@@ -871,6 +915,31 @@ class TestRun:
         text = capsys.readouterr().out
         assert "all_cce" in text
         assert (tmp_path / "out" / "summary.csv").exists()
+
+    def test_report_lists_only_the_cells_of_its_config(self, tmp_path, capsys):
+        # An output_dir that an earlier config with another cell wrote to.
+        path, cfg = base_config(tmp_path)
+        cfg["train"]["losses"] = [{"family": "cce"}, {"family": "lq"}]
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 0
+        cfg["train"]["losses"] = [{"family": "cce"}]
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["run", "--config", str(path), "--seed", "9"]) == 0
+        capsys.readouterr()
+        assert main(["report", "--config", str(path)]) == 0
+        assert "all_lq" not in capsys.readouterr().out
+        summary = (tmp_path / "out" / "summary.csv").read_text(encoding="utf-8").splitlines()
+        assert [row.split(",")[0] for row in summary] == ["cell", "all_cce"]
+
+    def test_report_of_a_missing_cell_is_a_data_error(self, tmp_path, capsys):
+        path, cfg = base_config(tmp_path)
+        assert main(["run", "--config", str(path)]) == 0
+        cfg["train"]["losses"] = [{"family": "cce"}, {"family": "lq"}]
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--config", str(path)]) == 2
+        assert "report_all_lq_q0.7.csv" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.csv").exists()
 
     def test_report_of_a_truncated_csv_is_a_data_error(self, tmp_path, capsys):
         path, cfg = base_config(tmp_path)

@@ -1,11 +1,14 @@
 """Loss values against frozen independent evaluations, loss identities,
 gradient checks, and the masking rules."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from noisebench import (
     LossConfig,
+    LossFamily,
     Origin,
     cce,
     lq_loss,
@@ -74,12 +77,6 @@ class TestSoftBootstrap:
         with pytest.raises(ConfigError):
             soft_bootstrap(probs, targets, beta=1.5)
 
-    def test_constant_target_variant(self):
-        probs, targets = single([0.6, 0.4], 0, 2)
-        _, grads = soft_bootstrap(probs, targets, 0.5, full_gradient=False)
-        expected = -0.5 * targets / probs - 0.5
-        np.testing.assert_allclose(grads, expected)
-
 
 class TestLq:
     def test_zero_loss_at_certainty(self):
@@ -140,8 +137,6 @@ class TestMonotonicityAndGradientScale:
 
 
 class TestLossGradients:
-    # The constant-target bootstrap variant is excluded: its update direction
-    # intentionally differs from the derivative of the written loss.
     @pytest.mark.parametrize(
         "fn",
         [
@@ -246,3 +241,86 @@ class TestSelectiveBatchLoss:
         probs = np.array([[0.5, 0.5]])
         with pytest.raises(ValueError, match="origin"):
             selective_batch_loss(probs, one_hot([0], 2), ["mystery"], LossConfig())
+
+    def test_equal_losses_with_one_clean_sample(self):
+        # m < 1 discards every sample of an all-equal batch; with selective
+        # set the clean one is never discarded, so it is all that is kept,
+        # and without it the keep-all fallback keeps all four.
+        probs = np.full((4, 2), 0.5)
+        origins = [Origin.NOISY, Origin.CLEAN, Origin.NOISY, Origin.NOISY]
+        for selective, expected in ((True, [1]), (False, [0, 1, 2, 3])):
+            cfg = LossConfig(family="mask_max", m=0.5, selective=selective)
+            _, grads = selective_batch_loss(probs, one_hot([0] * 4, 2), origins, cfg)
+            assert np.flatnonzero(grads.any(axis=1)).tolist() == expected
+
+
+def _inline_masked_loss(probs, targets, clean, cfg):
+    """The masking branch of selective_batch_loss written out inline, with
+    its own threshold: the reference that the rule shared with
+    mask_threshold must match bit for bit."""
+    losses, grads = cce(probs, targets)
+    wide = losses.astype(np.float64)
+    if cfg.family is LossFamily.MASK_MAX:
+        t = cfg.m * float(wide.max())
+    else:
+        t = float(np.median(wide)) + cfg.l * float(wide.std())
+    within = losses <= t
+    kept = np.flatnonzero((clean | within) if cfg.selective else within)
+    if kept.size == 0:
+        kept = np.arange(len(losses))
+    out = np.zeros_like(grads)
+    out[kept] = grads[kept] / kept.size
+    return float(losses[kept].mean()), out
+
+
+class TestMaskingOracle:
+    @pytest.mark.parametrize("selective", [False, True])
+    @pytest.mark.parametrize("family", ["mask_max", "mask_stat"])
+    def test_bits_match_the_inline_rule(self, family, selective):
+        rng = np.random.default_rng(8)
+        for trial in range(300):
+            b = int(rng.integers(2, 65))
+            k = int(rng.integers(2, 6))
+            probs = random_simplex(rng, b, k).astype(np.float32 if trial % 2 else np.float64)
+            labels = rng.integers(k, size=b)
+            if trial % 5 == 0:  # degenerate: every sample has the same loss
+                probs[:] = probs[0]
+                labels[:] = labels[0]
+            clean = rng.random(b) < [0.0, 0.3, 1.0][trial % 3]
+            param = float(rng.uniform(0.0, 1.0 if family == "mask_max" else 3.0))
+            cfg = LossConfig(family=family, selective=selective,
+                             **{"m" if family == "mask_max" else "l": param})
+            targets = one_hot(labels, k)
+            origins = [Origin.CLEAN if c else Origin.NOISY for c in clean]
+            total, grads = selective_batch_loss(probs, targets, origins, cfg)
+            ref_total, ref_grads = _inline_masked_loss(probs, targets, clean, cfg)
+            assert total == ref_total
+            assert grads.dtype == ref_grads.dtype and np.array_equal(grads, ref_grads)
+
+
+class TestLossConfigLabel:
+    def test_every_field_a_family_reads_changes_the_label(self):
+        # Cell files are named by the label, so two configs that train
+        # differently must not share one. Losses 0.1 ... 8 spread across
+        # every threshold below; clean and noisy samples alternate.
+        losses = np.linspace(0.1, 8.0, 16)
+        p_true = np.exp(-losses)
+        probs = np.column_stack([p_true] + [(1.0 - p_true) / 3] * 3)
+        targets = one_hot([0] * 16, 4)
+        origins = [Origin.CLEAN, Origin.NOISY] * 8
+        base = dict(beta=0.3, q=0.7, m=0.5, l=1.0)
+        other = dict(beta=0.8, q=0.2, m=0.9, l=0.0)  # a bool field is flipped
+        names = [f.name for f in fields(LossConfig) if f.name != "family"]
+        read = set()
+        for family in LossFamily:
+            cfg = LossConfig(family=family, **base)
+            total, grads = selective_batch_loss(probs, targets, origins, cfg)
+            for name in names:
+                value = getattr(cfg, name)
+                changed = replace(cfg, **{name: not value if isinstance(value, bool)
+                                          else other[name]})
+                total2, grads2 = selective_batch_loss(probs, targets, origins, changed)
+                if total2 != total or not np.array_equal(grads2, grads):
+                    read.add(name)
+                    assert changed.label() != cfg.label(), (family, name)
+        assert read == set(names)  # every field is read by some family

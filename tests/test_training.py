@@ -41,6 +41,7 @@ from noisebench.training import (
     build_patchset,
     clip_accuracy,
     confidence_halfwidth,
+    precompute_features,
     predict_clips,
     read_report_csv,
     student_t_quantile,
@@ -572,25 +573,26 @@ def tiny_experiment():
 class TestRunExperiment:
     def test_report_shape_and_config_echo(self, tiny_experiment):
         clips, manifest, feat, cfg = tiny_experiment
-        report = run_experiment(clips, manifest, feat, cfg, n_runs=2)
-        assert report.n_runs == 2 == len(report.accuracies)
+        features = precompute_features(clips, feat)
+        report = run_experiment(clips, manifest, feat, cfg, features=features, n_runs=2)
+        assert len(report.accuracies) == 2
         assert report.mean == pytest.approx(np.mean(report.accuracies))
-        assert report.config["subset"] == "all"
-        assert report.config["loss"] == {"family": "cce", "selective": False}
-        assert report.config["seed"] == 5
+        assert report.seed == 5
         assert all(0.0 <= a <= 1.0 for a in report.accuracies)
 
     def test_single_run_is_deterministic(self, tiny_experiment):
         clips, manifest, feat, cfg = tiny_experiment
-        a = run_single(clips, manifest, feat, cfg)
-        b = run_single(clips, manifest, feat, cfg)
+        features = precompute_features(clips, feat)
+        a = run_single(clips, manifest, feat, cfg, features)
+        b = run_single(clips, manifest, feat, cfg, features)
         assert a.accuracy == b.accuracy
         assert a.history == b.history
 
     def test_n_runs_validated(self, tiny_experiment):
         clips, manifest, feat, cfg = tiny_experiment
         with pytest.raises(ValueError):
-            run_experiment(clips, manifest, feat, cfg, n_runs=1)
+            run_experiment(clips, manifest, feat, cfg, features=precompute_features(clips, feat),
+                           n_runs=1)
 
 
 class TestTrendOracles:
@@ -608,7 +610,7 @@ class TestTrendOracles:
             batch_size=32, initial_lr=0.002, max_epochs=30, patience=30,
             seed=0, subset=Subset.CLEAN, channels=(4, 6, 8), kernel_size=3,
         )
-        result = run_single(clips, manifest, feat, cfg)
+        result = run_single(clips, manifest, feat, cfg, precompute_features(clips, feat))
         assert result.accuracy > 0.8
 
     def test_non_finite_loss_aborts_with_diagnostics(self):
@@ -640,7 +642,8 @@ class TestTrendOracles:
 
         monkeypatch.setattr(training_mod, "run_single", flaky)
         with pytest.raises(ExperimentError) as exc:
-            training_mod.run_experiment(clips, manifest, feat, cfg, n_runs=3)
+            training_mod.run_experiment(clips, manifest, feat, cfg,
+                                        features=precompute_features(clips, feat), n_runs=3)
         assert len(exc.value.partial) == 1
 
 
@@ -653,7 +656,7 @@ class TestCsvRoundtrips:
         assert lines[1].startswith("1,1.500000,0.400000")
 
     def test_report_csv(self, tmp_path):
-        report = RunReport([0.5, 0.7], 0.6, 0.1, 2, {"seed": 3})
+        report = RunReport([0.5, 0.7], 0.6, 0.1, 3)
         write_report_csv(report, tmp_path / "r.csv")
         loaded = read_report_csv(tmp_path / "r.csv")
         assert loaded["accuracies"] == [0.5, 0.7]
@@ -661,7 +664,7 @@ class TestCsvRoundtrips:
         assert loaded["ci95_halfwidth"] == 0.1
 
     def test_csv_bytes(self, tmp_path):
-        write_report_csv(RunReport([0.5, 0.7], 0.6, 0.1, 2, {"seed": 3}), tmp_path / "r.csv")
+        write_report_csv(RunReport([0.5, 0.7], 0.6, 0.1, 3), tmp_path / "r.csv")
         assert (tmp_path / "r.csv").read_bytes() == (
             b"kind,run,seed,accuracy\r\nrun,0,3,0.500000\r\nrun,1,4,0.700000\r\n"
             b"mean,,,0.600000\r\nci95_halfwidth,,,0.100000\r\n"
@@ -681,10 +684,10 @@ class TestCsvRoundtrips:
             with pytest.raises(ValueError):  # the second row cannot be formatted
                 write_history_csv([good[0], EpochStats(2, "nan?", 0.5, 0.001)], path)
         else:
-            write_report_csv(RunReport([0.5, 0.7], 0.6, 0.1, 2, {"seed": 3}), path)
+            write_report_csv(RunReport([0.5, 0.7], 0.6, 0.1, 3), path)
             before = path.read_bytes()
             with pytest.raises(ValueError):
-                write_report_csv(RunReport([0.5, "x"], 0.6, 0.1, 2, {"seed": 3}), path)
+                write_report_csv(RunReport([0.5, "x"], 0.6, 0.1, 3), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
@@ -696,7 +699,7 @@ class TestCsvRoundtrips:
     ], ids=["no-mean", "no-ci", "unknown-kind", "cut-mid-row"])
     def test_truncated_or_unknown_report_rows_are_data_errors(self, tmp_path, drop, add):
         path = tmp_path / "report_all_cce.csv"
-        write_report_csv(RunReport([0.5, 0.7], 0.6, 0.1, 2, {"seed": 3}), path)
+        write_report_csv(RunReport([0.5, 0.7], 0.6, 0.1, 3), path)
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         path.write_text("".join(ln for ln in lines if not drop or not ln.startswith(drop)) + add,
                         encoding="utf-8", newline="")
