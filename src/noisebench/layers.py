@@ -8,8 +8,10 @@ height, width) interface and hand the layers the channels-last view, a free
 reshape for single-channel log-mel patches. Parameters keep a layout-free
 shape: conv weights are (out, in, kh, kw) and ``Dense`` flattens its input
 in (channels, height, width) order, so checkpoints do not depend on the
-activation layout. Each layer caches what its backward pass needs; backward
-returns the input gradient and accumulates parameter gradients in place.
+activation layout. A training forward caches what the layer's backward
+needs, and that backward takes the cache and drops it, so a layer holds it
+only between the two; backward returns the input gradient and accumulates
+parameter gradients in place.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ def _uniform_init(rng, shape, fan_in, dtype):
 
 class Layer:
     kind = "layer"
+    _cache = None
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         raise NotImplementedError
@@ -57,7 +60,10 @@ class Layer:
     def config(self) -> dict:
         return {"kind": self.kind}
 
-    def _require_cache(self, cache):
+    def _take_cache(self):
+        """What the last training forward stored, handed to backward once:
+        the layer drops it here, so a second backward has nothing to read."""
+        cache, self._cache = self._cache, None
         if cache is None:
             raise RuntimeError(f"{self.kind}: backward called without a training forward")
         return cache
@@ -124,7 +130,6 @@ class Conv2d(Layer):
                             np.zeros(shape, dtype))
         self.bias = Param(f"{name}.bias", np.zeros(out_channels, dtype),
                           np.zeros(out_channels, dtype))
-        self._cache = None
 
     def _slices(self, x_pad):
         """The window view of x_pad, an empty column buffer for one slice, and
@@ -183,8 +188,7 @@ class Conv2d(Layer):
         return out.reshape(b, ho, wo, -1)
 
     def backward(self, grad):
-        x_pad, kept = self._require_cache(self._cache)
-        self._cache = None
+        x_pad, kept = self._take_cache()
         w = self.weight.value
         f, c, kh, kw = w.shape
         b, ho, wo, _ = grad.shape
@@ -261,7 +265,6 @@ class BatchNorm(Layer):
         self.beta = Param(f"{name}.beta", np.zeros(channels, dtype), np.zeros(channels, dtype))
         self.running_mean = np.zeros(channels, dtype)
         self.running_var = np.ones(channels, dtype)
-        self._cache = None
 
     def forward(self, x, train):
         if x.ndim != 4 or x.shape[3] != self.gamma.value.size:
@@ -293,7 +296,7 @@ class BatchNorm(Layer):
         return out.reshape(x.shape)
 
     def backward(self, grad):
-        xhat, ivar = self._require_cache(self._cache)
+        xhat, ivar = self._take_cache()
         b, h, w, c = grad.shape
         pixels = h * w
         dt = grad.dtype
@@ -325,16 +328,13 @@ class BatchNorm(Layer):
 class ReLU(Layer):
     kind = "relu"
 
-    def __init__(self):
-        self._cache = None
-
     def forward(self, x, train):
         if train:
             self._cache = x > 0
         return np.maximum(x, 0)
 
     def backward(self, grad):
-        mask = self._require_cache(self._cache)
+        mask = self._take_cache()
         return grad * mask
 
 
@@ -355,7 +355,6 @@ class MaxPool(Layer):
         if size < 1:
             raise ConfigError(f"maxpool size must be >= 1, got {size}")
         self.size = size
-        self._cache = None
 
     def forward(self, x, train):
         s = self.size
@@ -384,8 +383,7 @@ class MaxPool(Layer):
         return out
 
     def backward(self, grad):
-        idx, shape = self._require_cache(self._cache)
-        self._cache = None
+        idx, shape = self._take_cache()
         s = self.size
         b, ho, wo, c = idx.shape
         dx = np.empty(shape, dtype=grad.dtype)
@@ -414,7 +412,6 @@ class Dense(Layer):
                             np.zeros((in_features, out_features), dtype))
         self.bias = Param(f"{name}.bias", np.zeros(out_features, dtype),
                           np.zeros(out_features, dtype))
-        self._cache = None
 
     def forward(self, x, train):
         # Flatten in (C, H, W) order, as the weight rows have always been laid
@@ -431,7 +428,7 @@ class Dense(Layer):
         return flat @ self.weight.value + self.bias.value
 
     def backward(self, grad):
-        flat, nchw_shape = self._require_cache(self._cache)
+        flat, nchw_shape = self._take_cache()
         self.weight.grad += flat.T @ grad
         self.bias.grad += grad.sum(axis=0)
         return np.moveaxis((grad @ self.weight.value.T).reshape(nchw_shape), 1, -1)
@@ -447,9 +444,6 @@ class Dense(Layer):
 class Softmax(Layer):
     kind = "softmax"
 
-    def __init__(self):
-        self._cache = None
-
     def forward(self, x, train):
         shifted = x - x.max(axis=1, keepdims=True)
         e = np.exp(shifted)
@@ -459,7 +453,7 @@ class Softmax(Layer):
         return y
 
     def backward(self, grad):
-        y = self._require_cache(self._cache)
+        y = self._take_cache()
         return y * (grad - (grad * y).sum(axis=1, keepdims=True))
 
 

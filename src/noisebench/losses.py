@@ -83,9 +83,16 @@ class LossConfig:
             check_parameter(name, getattr(self, name))
 
     def label(self) -> str:
-        """Short name for file names and report rows, e.g. ``lq_q0.7_sel``."""
+        """Short name for file names and report rows, e.g. ``lq_q0.7_sel``.
+        The parameter is printed with ``:g`` when that reads back as the
+        same value, and in full otherwise, so distinct values get distinct
+        names."""
         name = _PARAMETER.get(self.family)
-        suffix = f"_{name[0]}{getattr(self, name):g}" if name else ""
+        suffix = ""
+        if name:
+            value = getattr(self, name)
+            short = f"{value:g}"
+            suffix = f"_{name[0]}{short if float(short) == value else repr(float(value))}"
         return self.family.value + suffix + ("_sel" if self.selective else "")
 
 

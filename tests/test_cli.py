@@ -140,6 +140,15 @@ class TestParsing:
         assert f"config invalid at {place}: repeats the cell all_" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_parameters_that_print_alike_are_two_cells(self, tmp_path):
+        # q 0.7000001 prints as 0.7 under :g; its cell must not be q 0.7's.
+        path, cfg = base_config(tmp_path)
+        cfg["train"]["losses"] = [{"family": "lq", "q": 0.7}, {"family": "lq", "q": 0.7000001}]
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        loaded = load_config(path)
+        names = [name for name, _, _ in experiment_cells(loaded.subsets, loaded.losses)]
+        assert names == ["all_lq_q0.7", "all_lq_q0.7000001"]
+
     def test_a_grid_without_a_cell_is_a_config_error(self, tmp_path, capsys):
         path, cfg = base_config(tmp_path)
         cfg["train"].update(subsets=["clean"], losses=[{"family": "lq"}])

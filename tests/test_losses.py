@@ -299,6 +299,18 @@ class TestMaskingOracle:
 
 
 class TestLossConfigLabel:
+    def test_default_parameters_keep_their_names(self):
+        names = [LossConfig(family=f).label() for f in LossFamily]
+        assert names == ["cce", "soft_b0.3", "lq_q0.7", "mask_max_m0.5", "mask_stat_l1.9"]
+        assert LossConfig(family="lq", q=1).label() == "lq_q1"
+        assert LossConfig(family="lq", q=1e-7).label() == "lq_q1e-07"
+        assert LossConfig(family="lq", q=0.25, selective=True).label() == "lq_q0.25_sel"
+
+    @pytest.mark.parametrize("q,name", [(0.7000001, "lq_q0.7000001"),
+                                        (0.1234567, "lq_q0.1234567")])
+    def test_a_parameter_that_g_would_round_is_named_in_full(self, q, name):
+        assert LossConfig(family="lq", q=q).label() == name
+
     def test_every_field_a_family_reads_changes_the_label(self):
         # Cell files are named by the label, so two configs that train
         # differently must not share one. Losses 0.1 ... 8 spread across
