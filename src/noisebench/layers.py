@@ -586,28 +586,10 @@ def save_checkpoint(path, net: Network, meta: dict | None = None,
             fh.write(np.ascontiguousarray(extra_arrays[name], dtype="<f4").tobytes())
 
 
-def _layer_from_config(cfg: dict, dtype) -> Layer:
-    kind = cfg["kind"]
-    if kind == "conv2d":
-        return Conv2d(cfg["in_channels"], cfg["out_channels"], cfg["kernel_size"],
-                      cfg["padding"], dtype=dtype)
-    if kind == "batchnorm":
-        return BatchNorm(cfg["channels"], cfg["eps"], cfg["momentum"], dtype=dtype)
-    if kind == "relu":
-        return ReLU()
-    if kind == "maxpool":
-        return MaxPool(cfg["size"])
-    if kind == "dense":
-        return Dense(cfg["in_features"], cfg["out_features"], dtype=dtype)
-    if kind == "softmax":
-        return Softmax()
-    raise ConfigError(f"unknown layer kind {kind!r} in checkpoint")
-
-
-def load_checkpoint(path, dtype=np.float32):
+def load_checkpoint(path):
     """Rebuild (network, meta, extra_arrays) from a checkpoint file. A file
-    cut short, with bytes after its last array or with an unreadable header
-    is a DataError."""
+    cut short, with bytes after its last array or with a header that does
+    not describe layers and extra arrays is a DataError."""
     with Path(path).open("rb") as fh:
         magic = fh.read(len(_CKPT_MAGIC))
         if magic != _CKPT_MAGIC:
@@ -624,17 +606,24 @@ def load_checkpoint(path, dtype=np.float32):
         (header_len,) = struct.unpack("<I", read(4))
         try:
             header = json.loads(read(header_len).decode("utf-8"))
-        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
-            raise DataError(f"{path}: unreadable checkpoint header ({exc})") from None
-        net = Network([_layer_from_config(c, dtype) for c in header["layers"]])
+            net = Network([_LAYER_KINDS[c["kind"]](**{k: v for k, v in c.items() if k != "kind"})
+                           for c in header["layers"]])
+            if [layer.config() for layer in net.layers] != header["layers"]:
+                raise ValueError("layer settings missing or not as saved")
+            shapes = {name: tuple(header["extra"][name]) for name in sorted(header["extra"])}
+            meta = header["meta"]
+        # ValueError covers UnicodeDecodeError, JSONDecodeError and a layer
+        # whose settings do not round-trip; KeyError and TypeError a missing
+        # or unexpected key; ConfigError a value the layer rejects.
+        except (ValueError, KeyError, TypeError, ConfigError) as exc:
+            raise DataError(f"{path}: unreadable checkpoint header ({exc!r})") from None
         for layer in net.layers:
             for arr in layer.state_arrays():
                 arr[...] = np.frombuffer(read(4 * arr.size), dtype="<f4").reshape(arr.shape)
         extra = {}
-        for name in sorted(header["extra"]):
-            shape = tuple(header["extra"][name])
+        for name, shape in shapes.items():
             count = int(np.prod(shape)) if shape else 1
             extra[name] = np.frombuffer(read(4 * count), dtype="<f4").reshape(shape).copy()
         if fh.read(1):
             raise DataError(f"{path}: trailing bytes after the last checkpoint array")
-    return net, header["meta"], extra
+    return net, meta, extra

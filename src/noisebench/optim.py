@@ -8,35 +8,36 @@ from .errors import NumericError
 from .layers import Param
 
 
-class Adam:
-    """Adam with bias correction; updates parameter values in place."""
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
-    def __init__(self, params: list[Param], learning_rate: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+
+class Adam:
+    """Adam with bias correction; updates parameter values in place. The
+    moments are held in lists aligned with ``params``, so parameters that
+    share a name (a network rebuilt from a checkpoint) keep their own."""
+
+    def __init__(self, params: list[Param], learning_rate: float = 0.001):
         self.params = params
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
-        self._m = {p.name: np.zeros_like(p.value) for p in params}
-        self._v = {p.name: np.zeros_like(p.value) for p in params}
+        self._m = [np.zeros_like(p.value) for p in params]
+        self._v = [np.zeros_like(p.value) for p in params]
 
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
-        for p in self.params:
+        for p, m, v in zip(self.params, self._m, self._v):
             if not np.all(np.isfinite(p.grad)):
                 raise NumericError(f"non-finite gradient for parameter {p.name!r}")
-            m = self._m[p.name]
-            v = self._v[p.name]
-            m *= self.beta1
-            m += (1 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1 - self.beta2) * np.square(p.grad)
-            m_hat = m / (1 - self.beta1**t)
-            v_hat = v / (1 - self.beta2**t)
-            p.value -= (self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)).astype(
+            m *= BETA1
+            m += (1 - BETA1) * p.grad
+            v *= BETA2
+            v += (1 - BETA2) * np.square(p.grad)
+            m_hat = m / (1 - BETA1**t)
+            v_hat = v / (1 - BETA2**t)
+            p.value -= (self.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)).astype(
                 p.value.dtype
             )
 

@@ -312,57 +312,36 @@ class ExperimentError(NumericError):
         self.partial = partial
 
 
-def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    """The continued fraction of I_x(a, b) (DLMF 8.17.22) by modified Lentz.
+def _t_upper_tail(t: float, df: int) -> float:
+    """P(T > t) for t > 0 under Student's t with integer ``df`` >= 1.
 
-    It converges fast for x < (a + 1) / (a + b + 2).
+    P(|T| < t) is a finite sum in theta = atan(t / sqrt(df)) (Abramowitz and
+    Stegun 26.7.3 for odd df, 26.7.4 for even df), whose df // 2 terms are
+    added in Horner form from the smallest up.
     """
-    tiny = 1e-300
-    c = 1.0
-    d = 1.0 - (a + b) * x / (a + 1.0)
-    d = h = 1.0 / (d if abs(d) > tiny else tiny)
-    for m in range(1, 100_000):
-        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
-                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
-            d = 1.0 + num * d
-            d = 1.0 / (d if abs(d) > tiny else tiny)
-            c = 1.0 + num / c
-            c = c if abs(c) > tiny else tiny
-            h *= d * c
-        if abs(d * c - 1.0) <= 2.0 ** -52:
-            return h
-    raise ArithmeticError(f"incomplete beta fraction did not converge at a={a}, b={b}, x={x}")
+    theta = math.atan(t / math.sqrt(df))
+    sin, cos = math.sin(theta), math.cos(theta)
+    s = 0.0 if df == 1 else 1.0  # at df = 1, P(|T| < t) is 2 theta / pi alone
+    # Two multiplies by cos, not one by a rounded cos ** 2, so that rounding
+    # does not compound over the terms: quantile error 5e-13 instead of
+    # 4e-12 at df = 10^5, at the same speed.
+    for n in range(df - 3, 0, -2):
+        s = 1.0 + s * cos * cos * n / (n + 1)
+    if df % 2 == 0:
+        return 0.5 - 0.5 * sin * s
+    return 0.5 - (theta + sin * cos * s) / math.pi
 
 
-def _t_upper_tail(t: float, df: float) -> float:
-    """P(T > t) for t > 0 under Student's t with ``df`` degrees of freedom.
-
-    That is I_x(df/2, 1/2) / 2 with x = df / (df + t^2). Both x and 1 - x
-    are formed from t directly, so nothing cancels at large df.
-    """
-    a = 0.5 * df
-    t2 = t * t
-    x = df / (df + t2)
-    y = t2 / (df + t2)
-    # log of x^a (1 - x)^(1/2) / B(a, 1/2)
-    log_front = (-a * math.log1p(t2 / df) + 0.5 * math.log(y)
-                 + math.lgamma(a + 0.5) - math.lgamma(a) - 0.5 * math.log(math.pi))
-    if x < (a + 1.0) / (a + 2.5):
-        return 0.5 * math.exp(log_front) / a * _beta_continued_fraction(a, 0.5, x)
-    # I_x(a, 1/2) = 1 - I_{1-x}(1/2, a), whose fraction converges fast here
-    return 0.5 - math.exp(log_front) * _beta_continued_fraction(0.5, a, y)
-
-
-def student_t_quantile(p: float, df: float) -> float:
-    """The ``p`` quantile, 0.5 < p < 1, of Student's t with ``df`` > 0
-    degrees of freedom.
+def student_t_quantile(p: float, df: int) -> float:
+    """The ``p`` quantile, 0.5 < p < 1, of Student's t with integer ``df``
+    >= 1 degrees of freedom.
 
     Bisects the upper tail down to adjacent floats. Against a 40-digit
-    mpmath reference, the relative error at p = 0.975 is below 2e-13 for
-    every df from 1 to 1000, and 2.5e-12 at df = 10^4 and 10^5.
+    mpmath reference, the relative error at p = 0.975 is below 5e-14 for
+    every df from 1 to 1000, and below 5e-13 at df = 10^4 and 10^5.
     """
-    if not (0.5 < p < 1.0 and df > 0):
-        raise ValueError(f"need 0.5 < p < 1 and df > 0, got p={p}, df={df}")
+    if not (0.5 < p < 1.0 and isinstance(df, int) and not isinstance(df, bool) and df >= 1):
+        raise ValueError(f"need 0.5 < p < 1 and an integer df >= 1, got p={p}, df={df!r}")
     tail = 1.0 - p
     lo, hi = 0.0, 1.0
     while _t_upper_tail(hi, df) > tail:

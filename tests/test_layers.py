@@ -6,6 +6,7 @@ differences in float64; the scalar probe is sum(forward(x) * r) for a fixed
 random r.
 """
 
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -763,6 +764,50 @@ class TestCheckpoint:
         path.write_bytes(data[:12] + b"\xff" + data[13:])
         with pytest.raises(DataError, match=f"{path.name}: unreadable checkpoint header"):
             load_checkpoint(path)
+
+    @staticmethod
+    def rewrite_header(path, data, edit):
+        """Write ``data`` back to ``path`` with its JSON header passed through
+        ``edit`` and the header length fixed up."""
+        header_end = 12 + int.from_bytes(data[8:12], "little")
+        header = json.loads(data[12:header_end])
+        edit(header)
+        raw = json.dumps(header).encode()
+        path.write_bytes(data[:8] + len(raw).to_bytes(4, "little") + raw + data[header_end:])
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["layers"][2].pop("out_channels"),
+        lambda h: h["layers"][2].pop("padding"),
+        lambda h: h.pop("extra"),
+        lambda h: h["layers"][0].update(kind="groupnorm"),
+        lambda h: h["layers"][2].update(padding="full"),
+    ], ids=["layer-missing-a-key", "layer-missing-a-default", "no-extra", "unknown-kind", "bad-padding"])
+    def test_malformed_header_is_a_data_error(self, tmp_path, edit):
+        path, data = self.saved(tmp_path)
+        self.rewrite_header(path, data, edit)
+        with pytest.raises(DataError, match=f"{path.name}: unreadable checkpoint header"):
+            load_checkpoint(path)
+
+    def test_loaded_network_trains_like_the_built_one(self, tmp_path):
+        # A rebuilt network names its layers by default, so three convs all
+        # hold a "conv.weight"; the optimizer must still keep one set of
+        # moments per parameter.
+        built = build_baseline(16, 16, 4, channels=(3, 4, 5), seed=9)
+        save_checkpoint(tmp_path / "net.nbc", built)
+        loaded, _, _ = load_checkpoint(tmp_path / "net.nbc")
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((6, 1, 16, 16)).astype(np.float32)
+        targets = one_hot(rng.integers(4, size=6), 4)
+        for net in (built, loaded):
+            adam = Adam(net.params(), 0.001)
+            for _ in range(2):
+                probs = net.forward(x, train=True)
+                _, grads = selective_batch_loss(probs, targets, [Origin.NOISY] * 6, LossConfig())
+                net.zero_grads()
+                net.backward(grads.astype(np.float32))
+                adam.step()
+        for a, b in zip(built.get_state(), loaded.get_state()):
+            np.testing.assert_array_equal(a, b)
 
     def test_rejects_non_checkpoint(self, tmp_path):
         bogus = tmp_path / "x.nbc"

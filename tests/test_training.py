@@ -494,6 +494,17 @@ class TestConfidenceInterval:
         with pytest.raises(ValueError):
             confidence_halfwidth([0.5])
 
+    def test_report_strings_match_mpmath(self):
+        # The report CSVs store the half-width as "{:.6f}"; pin those strings
+        # for one frozen accuracy vector per run count.
+        for n in range(2, 31):
+            v = [((7 * i * i + 3 * n) % 97) / 97 for i in range(n)]
+            with mp.workdps(40):
+                mean = mp.fsum(v) / n
+                sd = mp.sqrt(mp.fsum((mp.mpf(a) - mean) ** 2 for a in v) / (n - 1))
+                ref = mp_t_quantile(0.975, n - 1, 2.0) * sd / mp.sqrt(n)
+            assert f"{confidence_halfwidth(v):.6f}" == f"{float(ref):.6f}", n
+
 
 def mp_t_quantile(p, df, start):
     """The Student-t p-quantile to 40 digits.
@@ -541,6 +552,11 @@ class TestStudentTQuantile:
     def test_arguments_out_of_range_raise(self, p, df):
         with pytest.raises(ValueError):
             student_t_quantile(p, df)
+
+    @pytest.mark.parametrize("df", [2.5, 3.0, True])
+    def test_df_must_be_an_integer(self, df):
+        with pytest.raises(ValueError, match="integer df"):
+            student_t_quantile(0.975, df)
 
     def test_importing_the_package_loads_no_scipy(self):
         # scipy.stats alone costs about 70 MB of RSS and over a second of
