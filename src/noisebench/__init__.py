@@ -31,7 +31,7 @@ from .losses import (
     soft_bootstrap,
 )
 from .noise import NoiseSpec, NoiseType, ProvenanceLog, inject_noise, noise_report
-from .optim import Adam, plateau_lr, should_stop
+from .optim import Adam
 from .training import (
     RunReport,
     TrainConfig,

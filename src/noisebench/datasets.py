@@ -96,6 +96,9 @@ def load_manifest(path: str | Path, audio_root: str | Path) -> DatasetManifest:
     records = []
     seen = set()
     for lineno, row in enumerate(rows, start=2):
+        for col in ("fname", "label"):
+            if not row[col]:
+                raise ManifestError(f"{path}:{lineno}: empty {col}")
         fname = row["fname"]
         if fname in seen:
             raise ManifestError(f"{path}:{lineno}: duplicate fname {fname!r}")

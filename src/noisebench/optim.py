@@ -1,4 +1,4 @@
-"""Adam optimizer and the validation-accuracy schedules used in training."""
+"""Adam optimizer."""
 
 from __future__ import annotations
 
@@ -41,37 +41,3 @@ class Adam:
                 p.value.dtype
             )
 
-
-def plateau_lr(history: list[float], initial_lr: float, window: int = 5) -> float:
-    """Learning rate after replaying the halving rule over an accuracy history.
-
-    The rate is halved once each time the best value fails to improve for
-    ``window`` consecutive epochs; the stall counter then restarts, so a
-    stall of 2 * window epochs halves twice.
-    """
-    lr = initial_lr
-    best = -np.inf
-    stalled = 0
-    for acc in history:
-        if acc > best:
-            best = acc
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled == window:
-                lr /= 2.0
-                stalled = 0
-    return lr
-
-
-def should_stop(history: list[float], patience: int = 15) -> bool:
-    """True once the best accuracy has not improved for ``patience`` epochs."""
-    best = -np.inf
-    stalled = 0
-    for acc in history:
-        if acc > best:
-            best = acc
-            stalled = 0
-        else:
-            stalled += 1
-    return stalled >= patience

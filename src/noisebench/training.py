@@ -32,7 +32,7 @@ from .features import FeatureConfig, LogMelMatrix, extract_logmel, patch_count, 
 from .fileio import atomic_csv_writer
 from .layers import Network, build_baseline, im2col_bytes, samples_per_slice
 from .losses import LossConfig, one_hot, selective_batch_loss
-from .optim import Adam, plateau_lr, should_stop
+from .optim import Adam
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,8 @@ class TrainConfig:
             )
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in (0, 1)")
+        if not (math.isfinite(self.initial_lr) and self.initial_lr >= 0):
+            raise ValueError(f"initial_lr must be finite and >= 0, got {self.initial_lr}")
         for name in ("max_epochs", "plateau_window", "patience", "kernel_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -247,19 +249,17 @@ def train(
     cfg: TrainConfig,
 ) -> tuple[Network, list[EpochStats]]:
     """Train in place per the config; returns the network restored to its
-    best-validation-epoch weights plus the epoch history."""
+    first best-validation-epoch weights plus the epoch history. The epochs
+    since that best halve the rate at each multiple of ``plateau_window``
+    and stop training at ``patience``."""
     adam = Adam(network.params(), cfg.initial_lr)
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
     targets_all = one_hot(train_set.labels, train_set.n_classes)
 
     history: list[EpochStats] = []
-    val_history: list[float] = []
-    best_acc = -np.inf
-    best_state = network.get_state()
+    best_acc, stalled = -np.inf, 0
 
     for epoch in range(1, cfg.max_epochs + 1):
-        lr = plateau_lr(val_history, cfg.initial_lr, cfg.plateau_window)
-        adam.learning_rate = lr
         order = shuffle_rng.permutation(len(train_set))
         batch_losses = []
         for start in range(0, len(order), cfg.batch_size):
@@ -280,13 +280,16 @@ def train(
             adam.step()
             batch_losses.append(total)
         val_acc = clip_accuracy(network, val_set)
-        val_history.append(val_acc)
-        history.append(EpochStats(epoch, float(np.mean(batch_losses)), val_acc, lr))
-        if val_acc > best_acc:
-            best_acc = val_acc
-            best_state = network.get_state()
-        if should_stop(val_history, cfg.patience):
-            break
+        history.append(EpochStats(epoch, float(np.mean(batch_losses)), val_acc,
+                                  adam.learning_rate))
+        if val_acc > best_acc:  # always at epoch 1, so best_state is bound
+            best_acc, best_state, stalled = val_acc, network.get_state(), 0
+        else:
+            stalled += 1
+            if stalled % cfg.plateau_window == 0:
+                adam.learning_rate /= 2.0
+            if stalled >= cfg.patience:
+                break
     network.set_state(best_state)
     return network, history
 

@@ -61,6 +61,17 @@ class TestLoadManifest:
         with pytest.raises(ManifestError, match="duplicate"):
             load_manifest(path, tmp_path)
 
+    @pytest.mark.parametrize("row,column", [
+        ("a.wav,,1,train", "label"),
+        (",dog,1,train", "fname"),
+        (",dog,1,test", "fname"),
+    ])
+    def test_empty_fname_or_label_names_the_line(self, tmp_path, row, column):
+        path = tmp_path / "m.csv"
+        write_csv(path, ["b.wav,dog,1,train", row])
+        with pytest.raises(ManifestError, match=rf"m\.csv:3: empty {column}"):
+            load_manifest(path, tmp_path)
+
     def test_label_only_in_test_rows(self, tmp_path):
         path = tmp_path / "m.csv"
         write_csv(path, ["a.wav,dog,1,train", "z.wav,zebra,1,test"])

@@ -1,6 +1,7 @@
 """Every output file is replaced atomically: an interrupted writer leaves
 the previous file byte-identical, or no file, and no temporary behind. And
-only ``features`` names feature cache files."""
+only ``features`` names feature cache files. And every noisebench name that
+the benchmark in ``perfbench/`` uses exists."""
 
 import ast
 import json
@@ -112,6 +113,91 @@ class TestOneHomeForTheCacheKey:
     ])
     def test_the_scan_finds_the_suffix_and_the_import(self, source, lines):
         assert _cache_key_lines(ast.parse(source)) == lines
+
+
+_BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+_MODULES = frozenset(("audio_io", "datasets", "features", "layers", "losses", "noise",
+                      "optim", "training"))
+_PATCHERS = ("patch_function", "patch_method")
+
+
+def _dotted_owner(node) -> str | None:
+    """The dotted path ("training", "training.Standardizer") of a name or
+    attribute chain rooted at one of the noisebench modules, else None."""
+    if isinstance(node, ast.Name):
+        return node.id if node.id in _MODULES else None
+    if isinstance(node, ast.Attribute):
+        owner = _dotted_owner(node.value)
+        return owner and f"{owner}.{node.attr}"
+    return None
+
+
+def _benchmark_uses(tree: ast.AST) -> list[tuple[str, str]]:
+    """(owner, name) for each name taken from noisebench: ``<module>.<attr>``
+    on its modules, names imported from the package or a module (owner ""
+    is the package), and the ``(module, "name", ...)`` tuples and
+    ``patch_function``/``patch_method`` targets that the tracer wraps."""
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in _MODULES:
+                uses.append((node.value.id, node.attr))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("noisebench"):
+            owner = node.module.removeprefix("noisebench").lstrip(".")
+            uses += [(owner, alias.name) for alias in node.names]
+        else:
+            if isinstance(node, ast.Tuple):
+                args = node.elts
+            elif isinstance(node, ast.Call) and _call_name(node.func) in _PATCHERS:
+                args = node.args
+            else:
+                continue
+            if (len(args) >= 2 and _dotted_owner(args[0]) and isinstance(args[1], ast.Constant)
+                    and isinstance(args[1].value, str)):
+                uses.append((_dotted_owner(args[0]), args[1].value))
+    return uses
+
+
+def _resolves(owner: str, name: str) -> bool:
+    obj = noisebench
+    for part in filter(None, owner.split(".")):
+        obj = getattr(obj, part, None)
+    return hasattr(obj, name)
+
+
+class TestBenchmarkCallSurface:
+    """Every noisebench name that ``perfbench/`` uses still exists, so that
+    deleting or renaming one fails here and not only in a benchmark run.
+    This checks names, not signatures."""
+
+    def test_every_name_the_benchmark_uses_resolves(self):
+        uses = {path.name: _benchmark_uses(ast.parse(path.read_text(encoding="utf-8")))
+                for path in sorted(_BENCH.glob("*.py"))}
+        assert ("training", "train") in uses["spans.py"]
+        assert ("optim.Adam", "step") in uses["spans.py"]
+        missing = {name: [f"{owner}.{attr}".lstrip(".") for owner, attr in found
+                          if not _resolves(owner, attr)]
+                   for name, found in uses.items()}
+        assert {name: found for name, found in missing.items() if found} == {}
+
+    @pytest.mark.parametrize("source,uses", [
+        ("training.train(net)", [("training", "train")]),
+        ("state.features.get", []),
+        ("from noisebench import layers, optim", [("", "layers"), ("", "optim")]),
+        ("from noisebench.datasets import Split", [("datasets", "Split")]),
+        ('(datasets, "load_manifest", "span")', [("datasets", "load_manifest")]),
+        ('("a", "b")', []),
+        ('t.patch_method(optim.Adam, "step", "span")',
+         [("optim", "Adam"), ("optim.Adam", "step")]),
+        ('t.wrap(optim.Adam, "step")', [("optim", "Adam")]),
+    ])
+    def test_the_scan_finds_each_kind_of_use(self, source, uses):
+        assert sorted(_benchmark_uses(ast.parse(source))) == sorted(uses)
+
+    def test_a_missing_name_does_not_resolve(self):
+        assert _resolves("training", "train") and _resolves("", "Adam")
+        assert not _resolves("optim", "plateau_lr")
+        assert not _resolves("optim.Adam", "no_such_method")
 
 
 def _assert_untouched(path, before):

@@ -1,9 +1,9 @@
-"""Adam update math and the validation-accuracy schedules."""
+"""Adam update math; the learning-rate schedule of train is tested in test_training."""
 
 import numpy as np
 import pytest
 
-from noisebench import Adam, plateau_lr, should_stop
+from noisebench import Adam
 from noisebench.errors import NumericError
 from noisebench.layers import Param
 
@@ -59,43 +59,3 @@ class TestAdam:
         with pytest.raises(NumericError, match="'p'"):
             Adam([p]).step()
 
-
-class TestPlateauHalver:
-    def test_improving_history_keeps_rate(self):
-        history = [0.1 * i for i in range(1, 12)]
-        assert plateau_lr(history, 0.001) == 0.001
-
-    def test_five_epoch_stall_halves_once(self):
-        assert plateau_lr([0.5] * 6, 0.001) == pytest.approx(0.0005)
-
-    def test_ten_epoch_stall_halves_twice(self):
-        # Step-by-step replay: the counter restarts after each halving.
-        history = [0.5] + [0.5] * 10
-        lr, best, stalled = 0.001, -np.inf, 0
-        for acc in history:
-            if acc > best:
-                best, stalled = acc, 0
-            else:
-                stalled += 1
-                if stalled == 5:
-                    lr, stalled = lr / 2, 0
-        assert plateau_lr(history, 0.001) == lr == 0.00025
-
-    def test_improvement_resets_the_counter(self):
-        history = [0.5, 0.5, 0.5, 0.5, 0.6, 0.6, 0.6, 0.6]
-        assert plateau_lr(history, 0.001) == 0.001
-
-
-class TestEarlyStopper:
-    def test_short_history_continues(self):
-        assert not should_stop([0.5] * 15)
-
-    def test_flat_after_best_stops(self):
-        # Best at epoch 3, flat through epoch 18: 15 stalled epochs.
-        history = [0.1, 0.2, 0.7] + [0.6] * 15
-        assert should_stop(history)
-        assert not should_stop(history[:-1])
-
-    def test_late_improvement_resets(self):
-        history = [0.7] + [0.6] * 14 + [0.8] + [0.6] * 3
-        assert not should_stop(history)

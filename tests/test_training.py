@@ -452,6 +452,12 @@ class TestTrain:
             TrainConfig(batch_size=1)
         TrainConfig(batch_size=2)
 
+    @pytest.mark.parametrize("lr", [-0.1, -1e-300, np.nan, np.inf, -np.inf])
+    def test_initial_lr_must_be_finite_and_non_negative(self, lr):
+        with pytest.raises(ValueError, match="initial_lr must be finite and >= 0"):
+            TrainConfig(initial_lr=lr)
+        TrainConfig(initial_lr=0.0)
+
     def test_zero_learning_rate_is_a_no_op(self):
         data = separable_patchset()
         net = build_baseline(8, 10, 2, channels=(2, 3, 4), seed=1)
@@ -480,6 +486,125 @@ class TestTrain:
             _, history = train(net, data, data, cfg)
             histories.append(history)
         assert histories[0] == histories[1]
+
+
+def scripted_train(monkeypatch, accuracies, initial_lr=0.001, **fields):
+    """Train a tiny network for at most len(accuracies) epochs while
+    clip_accuracy returns ``accuracies`` in turn. Returns the trained
+    network, the history and each epoch's weights as they were evaluated."""
+    script = iter(accuracies)
+    weights = []
+
+    def scripted(network, val_set):
+        weights.append(network.get_state())
+        return next(script)
+
+    monkeypatch.setattr(noisebench.training, "clip_accuracy", scripted)
+    net = build_baseline(8, 10, 2, channels=(1, 1, 1), seed=4)
+    cfg = TrainConfig(initial_lr=initial_lr, max_epochs=len(accuracies), batch_size=8,
+                      seed=4, **fields)
+    net, history = train(net, separable_patchset(n_per_class=4), None, cfg)
+    return net, history, weights
+
+
+def rates(history):
+    return [epoch.learning_rate for epoch in history]
+
+
+def assert_weights_equal(net, expected):
+    for got, want in zip(net.get_state(), expected, strict=True):
+        np.testing.assert_array_equal(got, want)
+
+
+def frozen_plateau_lr(history, initial_lr, window=5):
+    """The halving rule as an earlier version replayed it over the whole
+    validation history before every epoch: the reference for train."""
+    lr = initial_lr
+    best = -np.inf
+    stalled = 0
+    for acc in history:
+        if acc > best:
+            best = acc
+            stalled = 0
+        else:
+            stalled += 1
+            if stalled == window:
+                lr /= 2.0
+                stalled = 0
+    return lr
+
+
+def frozen_should_stop(history, patience=15):
+    """The early-stopping rule as the same version replayed it."""
+    best = -np.inf
+    stalled = 0
+    for acc in history:
+        if acc > best:
+            best = acc
+            stalled = 0
+        else:
+            stalled += 1
+    return stalled >= patience
+
+
+class TestSchedule:
+    """The learning-rate halving, early stopping and restored epoch of
+    ``train``, driven by a scripted validation accuracy."""
+
+    def test_improving_history_keeps_rate(self, monkeypatch):
+        _, history, _ = scripted_train(monkeypatch, [0.05 * i for i in range(1, 13)])
+        assert rates(history) == [0.001] * 12
+
+    def test_five_epoch_stall_halves_once(self, monkeypatch):
+        _, history, _ = scripted_train(monkeypatch, [0.5] * 7)
+        assert rates(history) == [0.001] * 6 + [0.0005]
+
+    def test_ten_epoch_stall_halves_twice(self, monkeypatch):
+        _, history, _ = scripted_train(monkeypatch, [0.5] * 12)
+        assert rates(history) == [0.001] * 6 + [0.0005] * 5 + [0.00025]
+
+    def test_improvement_resets_the_counter(self, monkeypatch):
+        _, history, _ = scripted_train(monkeypatch, [0.5] * 4 + [0.6] * 5)
+        assert rates(history) == [0.001] * 9
+
+    def test_fifteen_flat_epochs_do_not_stop(self, monkeypatch):
+        # Epoch 1 is the best, so epoch 16 is the 15th stalled one.
+        _, history, _ = scripted_train(monkeypatch, [0.5] * 20)
+        assert len(history) == 16
+
+    def test_fifteen_stalled_epochs_after_the_best_stop(self, monkeypatch):
+        # Best at epoch 3, flat through epoch 18: later gains are never seen.
+        net, history, weights = scripted_train(
+            monkeypatch, [0.1, 0.2, 0.7] + [0.6] * 15 + [0.9] * 5)
+        assert len(history) == 18
+        assert_weights_equal(net, weights[2])
+
+    def test_late_improvement_resets_the_count(self, monkeypatch):
+        net, history, weights = scripted_train(
+            monkeypatch, [0.7] + [0.6] * 14 + [0.8] + [0.6] * 20)
+        assert len(history) == 31
+        assert_weights_equal(net, weights[15])
+
+    def test_restores_the_first_of_tied_best_epochs(self, monkeypatch):
+        net, history, weights = scripted_train(monkeypatch, [0.5, 0.7, 0.6, 0.7, 0.7, 0.3])
+        assert len(history) == 6
+        assert not np.array_equal(weights[1][0], weights[3][0])
+        assert_weights_equal(net, weights[1])
+
+    def test_matches_the_frozen_replay_on_random_histories(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        for _ in range(60):
+            accs = list(rng.integers(0, 4, rng.integers(1, 41)) / 4)
+            window, patience = int(rng.integers(1, 9)), int(rng.integers(1, 26))
+            initial_lr = float(rng.choice([0.001, 0.0, 1e-300]))
+            net, history, weights = scripted_train(
+                monkeypatch, accs, initial_lr, plateau_window=window, patience=patience)
+            stop = next((e for e in range(1, len(accs) + 1)
+                         if frozen_should_stop(accs[:e], patience)), len(accs))
+            assert len(history) == stop
+            assert [r.hex() for r in rates(history)] == [
+                frozen_plateau_lr(accs[:e], initial_lr, window).hex() for e in range(stop)]
+            assert_weights_equal(net, weights[int(np.argmax(accs[:stop]))])
 
 
 class TestConfidenceInterval:
