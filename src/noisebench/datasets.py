@@ -99,6 +99,9 @@ def load_manifest(path: str | Path, audio_root: str | Path) -> DatasetManifest:
         for col in ("fname", "label"):
             if not row[col]:
                 raise ManifestError(f"{path}:{lineno}: empty {col}")
+            if row[col] != row[col].strip():
+                raise ManifestError(
+                    f"{path}:{lineno}: {col} {row[col]!r} has leading or trailing whitespace")
         fname = row["fname"]
         if fname in seen:
             raise ManifestError(f"{path}:{lineno}: duplicate fname {fname!r}")

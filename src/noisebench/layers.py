@@ -103,26 +103,95 @@ def _windows(x_pad: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return sliding_window_view(x_pad, (kh, kw), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
 
 
+# Non-overlapping s x s max pooling of NHWC arrays, shared by MaxPool and by
+# a Conv2d that pools each batch slice of its output (pool_size > 1).
+# Trailing rows and columns that do not fill a window are dropped. The
+# gradient of each window goes to its first maximum in row-major window
+# order; training keeps that maximum's offset in the window, one byte per
+# output element below size 16, and a window whose maximum is NaN holds the
+# no-match offset s * s and routes nothing.
+
+
+def pooled_shape(shape, s: int, who: str) -> tuple[int, int, int, int]:
+    """The pooled shape of an NHWC ``shape``; a ValueError naming ``who`` if
+    no window fits."""
+    b, h, w, c = shape
+    if h < s or w < s:
+        raise ValueError(f"{who}: input {tuple(shape)} smaller than window {s}")
+    return b, h // s, w // s, c
+
+
+def pool_offsets(shape, s: int) -> np.ndarray:
+    """An empty array for the first-maximum offsets of pooled ``shape``."""
+    return np.empty(shape, dtype=np.min_scalar_type(s * s))
+
+
+def max_pool(x: np.ndarray, s: int, out: np.ndarray, offsets: np.ndarray | None = None):
+    """Write the window maxima of ``x`` into ``out`` and, if given, their
+    first-maximum offsets into ``offsets``. The maximum starts from
+    np.maximum of the first two offsets (offset 0 with itself at size 1,
+    which keeps its bits) and folds in the rest in row-major order: the
+    bits of a running maximum from offset 0."""
+    b, ho, wo, c = out.shape
+    windows = x[:, : ho * s, : wo * s].reshape(b, ho, s, wo, s, c)
+    np.maximum(windows[:, :, 0, :, 0], windows[:, :, 0, :, 1 % s], out=out)
+    for k in range(2, s * s):
+        np.maximum(out, windows[:, :, k // s, :, k % s], out=out)
+    if offsets is not None:
+        # The first maximum's offset is the count of offsets passed while
+        # none has matched; a NaN window never matches and counts s * s.
+        missed = windows[:, :, 0, :, 0] != out
+        np.copyto(offsets, missed)
+        differs = np.empty(out.shape, dtype=bool)
+        for k in range(1, s * s):
+            np.not_equal(windows[:, :, k // s, :, k % s], out, out=differs)
+            missed &= differs
+            np.add(offsets, missed.view(np.uint8), out=offsets)
+    return out
+
+
+def max_unpool(offsets: np.ndarray, grad: np.ndarray, s: int, out: np.ndarray) -> np.ndarray:
+    """Write the input gradient of a pool into ``out`` (the pool's input
+    shape) from the pooled ``grad`` and the ``offsets`` of ``max_pool``."""
+    b, ho, wo, c = offsets.shape
+    out[:, ho * s :] = 0
+    out[:, : ho * s, wo * s :] = 0
+    # Every element of the pooled area is written once, as its offset's
+    # hit times the window gradient: bool * float keeps the bits of a
+    # masked product (-0.0 for a negative gradient, NaN for a NaN one).
+    hit = np.empty(offsets.shape, dtype=bool)
+    for k in range(s * s):
+        np.equal(offsets, k, out=hit)
+        np.multiply(hit, grad, out=out[:, k // s : ho * s : s, k % s : wo * s : s])
+    return out
+
+
 class Conv2d(Layer):
     """Stride-1 cross-correlation with zero 'same' or 'valid' padding,
     computed as im2col matrix products over batch slices of at most
-    COLS_BYTES of columns (see ``samples_per_slice``). 'same' padding
+    COLS_BYTES of columns (see ``samples_per_slice``), then, with
+    pool_size > 1, max-pooled (see ``max_pool``). 'same' padding
     copies the input into a zeroed array. Training caches the
-    padded input; when the batch is one slice its columns are kept too,
-    otherwise backward rebuilds each slice's. A one-channel input lays its
-    columns out transposed (see ``_columns``). Weights are stored
+    padded input and the pool's offsets; when the batch is one slice its
+    columns are kept too, otherwise backward rebuilds each slice's. A pooled
+    conv holds its full-resolution output and gradient one slice at a time,
+    with the bits of a conv followed by a MaxPool. A one-channel input lays
+    its columns out transposed (see ``_columns``). Weights are stored
     (out, in, kh, kw) whatever the activation layout."""
 
     kind = "conv2d"
 
     def __init__(self, in_channels, out_channels, kernel_size, padding="same",
-                 rng=None, dtype=np.float32, name="conv"):
+                 rng=None, dtype=np.float32, name="conv", pool_size=1):
         if padding not in ("same", "valid"):
             raise ConfigError(f"unsupported padding {padding!r}")
         if padding == "same" and kernel_size % 2 == 0:
             raise ConfigError("same padding requires an odd kernel size")
+        if pool_size < 1:
+            raise ConfigError(f"conv pool_size must be >= 1, got {pool_size}")
         self.padding = padding
         self.pad = (kernel_size - 1) // 2 if padding == "same" else 0
+        self.pool_size = pool_size
         rng = rng if rng is not None else np.random.default_rng(0)
         fan_in = in_channels * kernel_size * kernel_size
         shape = (out_channels, in_channels, kernel_size, kernel_size)
@@ -175,28 +244,64 @@ class Conv2d(Layer):
             x_pad = x
         windows, cols, slices = self._slices(x_pad)
         b, ho, wo = windows.shape[:3]
-        w_mat = w.transpose(2, 3, 1, 0).reshape(-1, w.shape[0])
-        out = np.empty((b * ho * wo, w.shape[0]), dtype=np.result_type(x_pad, w))
+        f, q = w.shape[0], self.pool_size
+        w_mat = w.transpose(2, 3, 1, 0).reshape(-1, f)
+        dtype = np.result_type(x_pad, w)
+        # The bias is added over rows of wo * F values, not rows of F: the
+        # same elementwise sums without numpy's per-row overhead.
+        bias_row = _widen(self.bias.value, wo)
+        offsets = None
+        if q == 1:
+            conv = out = np.empty((b * ho * wo, f), dtype=dtype)
+        else:
+            out = np.empty(pooled_shape((b, ho, wo, f), q, self.weight.name), dtype=dtype)
+            offsets = pool_offsets(out.shape, q) if train else None
+            conv = np.empty((slices[0][1] * ho * wo, f), dtype=dtype)
         for s, e in slices:
             rows = self._columns(x_pad, windows, cols, s, e)
-            np.matmul(rows, w_mat, out=out[s * ho * wo : e * ho * wo])
-        # The bias added over rows of wo * F values, not b * ho * wo rows of
-        # F: the same elementwise sums without numpy's per-row overhead.
-        out.reshape(b * ho, -1)[...] += _widen(self.bias.value, wo)
+            part = conv[s * ho * wo : e * ho * wo] if q == 1 else conv[: (e - s) * ho * wo]
+            np.matmul(rows, w_mat, out=part)
+            part.reshape((e - s) * ho, -1)[...] += bias_row
+            if q > 1:
+                max_pool(part.reshape(e - s, ho, wo, f), q, out[s:e],
+                         None if offsets is None else offsets[s:e])
         if train:
-            self._cache = (x_pad, rows if len(slices) == 1 else None)
-        return out.reshape(b, ho, wo, -1)
+            self._cache = (x_pad, rows if len(slices) == 1 else None, offsets)
+        return out.reshape(b, ho, wo, f) if q == 1 else out
 
     def backward(self, grad):
-        x_pad, kept = self._take_cache()
+        x_pad, kept, offsets = self._take_cache()
         w = self.weight.value
         f, c, kh, kw = w.shape
-        b, ho, wo, _ = grad.shape
-        g_mat = grad.reshape(b * ho * wo, f)
+        q = self.pool_size
+        b, ho, wo = x_pad.shape[0], x_pad.shape[1] - kh + 1, x_pad.shape[2] - kw + 1
         windows, cols, slices = self._slices(x_pad) if kept is None else (None, None, [(0, b)])
+        # The gradient of the unpooled output. A pooled conv with F >= 2
+        # filters unpools one slice at a time into g_buf's rows 1 onwards,
+        # and row 0 carries the bias sum so far into the next slice's einsum:
+        # einsum sums each column row after row (see below), so this gives
+        # the bits of one einsum over all rows. One filter's column is
+        # summed whole, so it is unpooled for the whole batch.
+        per_slice = q > 1 and f > 1
+        if q == 1:
+            g_mat = grad.reshape(b * ho * wo, f)
+        elif not per_slice:
+            g_mat = max_unpool(offsets, grad, q, np.empty((b, ho, wo, f), dtype=grad.dtype))
+            g_mat = g_mat.reshape(b * ho * wo, f)
+        else:
+            g_buf = np.empty((1 + slices[0][1] * ho * wo, f), dtype=grad.dtype)
         dx = np.zeros(x_pad.shape, dtype=grad.dtype)
         for s, e in slices:
-            g = g_mat[s * ho * wo : e * ho * wo]
+            if per_slice:
+                g = g_buf[1 : 1 + (e - s) * ho * wo]
+                max_unpool(offsets[s:e], grad[s:e], q, g.reshape(e - s, ho, wo, f))
+                if s == 0:
+                    bias_grad = np.einsum("ij->j", g)
+                else:
+                    g_buf[0] = bias_grad
+                    bias_grad = np.einsum("ij->j", g_buf[: 1 + len(g)])
+            else:
+                g = g_mat[s * ho * wo : e * ho * wo]
             rows = kept if kept is not None else self._columns(x_pad, windows, cols, s, e)
             # Weight gradient as g.T @ rows: on either column layout it gives
             # the bits of rows.T @ g on the general one at desk (k=3) and
@@ -214,8 +319,10 @@ class Conv2d(Layer):
         # einsum sums each column row after row, like sum(axis=0) on F >= 2
         # columns but without its per-row overhead. A single column is one
         # contiguous run, which sum() adds pairwise: einsum would round it
-        # differently.
-        self.bias.grad += np.einsum("ij->j", g_mat) if f > 1 else g_mat.sum(axis=0)
+        # differently, and so would summing it slice by slice.
+        if not per_slice:
+            bias_grad = np.einsum("ij->j", g_mat) if f > 1 else g_mat.sum(axis=0)
+        self.bias.grad += bias_grad
         p = self.pad
         return dx[:, p : x_pad.shape[1] - p, p : x_pad.shape[2] - p, :] if p else dx
 
@@ -224,8 +331,11 @@ class Conv2d(Layer):
 
     def config(self):
         f, c, k, _ = self.weight.value.shape
-        return {"kind": self.kind, "in_channels": c, "out_channels": f,
-                "kernel_size": k, "padding": self.padding}
+        config = {"kind": self.kind, "in_channels": c, "out_channels": f,
+                  "kernel_size": k, "padding": self.padding}
+        if self.pool_size != 1:
+            config["pool_size"] = self.pool_size
+        return config
 
 
 def _channel_mean(x: np.ndarray) -> np.ndarray:
@@ -339,15 +449,9 @@ class ReLU(Layer):
 
 
 class MaxPool(Layer):
-    """Non-overlapping max pooling; trailing rows/columns that do not fill a
-    window are dropped. The window maximum starts from np.maximum of the first
-    two offsets (offset 0 with itself at size 1, which keeps its bits), with
-    no copy of the first, and folds in the rest in row-major order: the bits
-    of a running maximum from offset 0. The gradient of each
-    window goes to its first maximum in row-major window order. Training
-    caches that maximum's offset in the window, one byte per output element
-    below size 16; a window whose maximum is NaN holds the no-match offset
-    size * size and routes nothing."""
+    """Non-overlapping max pooling (see ``max_pool``) as a layer of its own,
+    for checkpoints whose headers list ``maxpool`` entries;
+    ``build_baseline`` pools inside its convs."""
 
     kind = "maxpool"
 
@@ -361,42 +465,16 @@ class MaxPool(Layer):
         if x.ndim != 4:
             raise ValueError(f"maxpool: input shape {x.shape} is not (batch, height, "
                              f"width, channels)")
-        b, h, w, c = x.shape
-        ho, wo = h // s, w // s
-        if ho < 1 or wo < 1:
-            raise ValueError(f"maxpool: input {x.shape} smaller than window {s}")
-        windows = x[:, : ho * s, : wo * s].reshape(b, ho, s, wo, s, c)
-        out = np.maximum(windows[:, :, 0, :, 0], windows[:, :, 0, :, 1 % s])
-        for k in range(2, s * s):
-            np.maximum(out, windows[:, :, k // s, :, k % s], out=out)
+        out = np.empty(pooled_shape(x.shape, s, "maxpool"), dtype=x.dtype)
+        offsets = pool_offsets(out.shape, s) if train else None
+        max_pool(x, s, out, offsets)
         if train:
-            # The first maximum's offset is the count of offsets passed while
-            # none has matched; a NaN window never matches and counts s * s.
-            missed = windows[:, :, 0, :, 0] != out
-            idx = missed.astype(np.min_scalar_type(s * s))
-            differs = np.empty(out.shape, dtype=bool)
-            for k in range(1, s * s):
-                np.not_equal(windows[:, :, k // s, :, k % s], out, out=differs)
-                missed &= differs
-                np.add(idx, missed.view(np.uint8), out=idx)
-            self._cache = (idx, x.shape)
+            self._cache = (offsets, x.shape)
         return out
 
     def backward(self, grad):
-        idx, shape = self._take_cache()
-        s = self.size
-        b, ho, wo, c = idx.shape
-        dx = np.empty(shape, dtype=grad.dtype)
-        dx[:, ho * s :] = 0
-        dx[:, : ho * s, wo * s :] = 0
-        # Every element of the pooled area is written once, as its offset's
-        # hit times the window gradient: bool * float keeps the bits of a
-        # masked product (-0.0 for a negative gradient, NaN for a NaN one).
-        hit = np.empty(idx.shape, dtype=bool)
-        for k in range(s * s):
-            np.equal(idx, k, out=hit)
-            np.multiply(hit, grad, out=dx[:, k // s : ho * s : s, k % s : wo * s : s])
-        return dx
+        offsets, shape = self._take_cache()
+        return max_unpool(offsets, grad, self.size, np.empty(shape, dtype=grad.dtype))
 
     def config(self):
         return {"kind": self.kind, "size": self.size}
@@ -512,6 +590,7 @@ def im2col_bytes(layers: list[Layer], height: int, width: int, itemsize: int) ->
             _, c, k, _ = layer.weight.value.shape
             height, width = height + 2 * layer.pad - k + 1, width + 2 * layer.pad - k + 1
             peak = max(peak, height * width * k * k * c * itemsize)
+            height, width = height // layer.pool_size, width // layer.pool_size
         elif isinstance(layer, MaxPool):
             height, width = height // layer.size, width // layer.size
     return peak
@@ -527,8 +606,8 @@ def build_baseline(
     seed: int = 0,
     dtype=np.float32,
 ) -> Network:
-    """Three pre-activation conv stages (BN, ReLU, Conv, MaxPool) feeding a
-    dense softmax classifier.
+    """Three pre-activation conv stages (BN, ReLU, Conv with max pooling)
+    feeding a dense softmax classifier.
 
     Default widths put the trainable parameter count near half a million for
     96-mel, 86-frame inputs; smaller widths can be passed for quick
@@ -550,8 +629,8 @@ def build_baseline(
     for i, out_ch in enumerate(channels, start=1):
         layers.append(BatchNorm(in_ch, dtype=dtype, name=f"bn{i}"))
         layers.append(ReLU())
-        layers.append(Conv2d(in_ch, out_ch, kernel_size, "same", rng, dtype, name=f"conv{i}"))
-        layers.append(MaxPool(pool_size))
+        layers.append(Conv2d(in_ch, out_ch, kernel_size, "same", rng, dtype, name=f"conv{i}",
+                             pool_size=pool_size))
         in_ch = out_ch
     layers.append(Dense(in_ch * h * w, n_classes, rng, dtype, name="dense"))
     layers.append(Softmax())

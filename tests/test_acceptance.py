@@ -75,6 +75,8 @@ def test_criterion_1_gradient_suite():
     start = time.monotonic()
     layer_makers = {
         "conv2d": (lambda rng: Conv2d(2, 3, 3, "same", rng, np.float64), (2, 5, 6, 2)),
+        "conv2d_pool": (lambda rng: Conv2d(2, 3, 3, "same", rng, np.float64, pool_size=2),
+                        (2, 5, 7, 2)),
         "batchnorm": (lambda rng: BatchNorm(3, dtype=np.float64), (6, 3, 4, 3)),
         "relu": (lambda rng: ReLU(), (3, 4, 4, 2)),
         "maxpool": (lambda rng: MaxPool(2), (2, 6, 6, 2)),

@@ -72,6 +72,21 @@ class TestLoadManifest:
         with pytest.raises(ManifestError, match=rf"m\.csv:3: empty {column}"):
             load_manifest(path, tmp_path)
 
+    # Without the check, ' dog' and 'dog ' load as classes apart from 'dog'.
+    @pytest.mark.parametrize("row,column", [
+        ("a.wav, dog,1,train", "label"),
+        ("a.wav,dog ,0,train", "label"),
+        ("a.wav,\tdog,1,test", "label"),
+        (" a.wav,dog,1,train", "fname"),
+        ("a.wav ,dog,1,test", "fname"),
+    ])
+    def test_surrounding_whitespace_names_the_line(self, tmp_path, row, column):
+        path = tmp_path / "m.csv"
+        write_csv(path, ["b.wav,dog,1,train", row])
+        with pytest.raises(ManifestError,
+                           match=rf"m\.csv:3: {column} .* has leading or trailing whitespace"):
+            load_manifest(path, tmp_path)
+
     def test_label_only_in_test_rows(self, tmp_path):
         path = tmp_path / "m.csv"
         write_csv(path, ["a.wav,dog,1,train", "z.wav,zebra,1,test"])

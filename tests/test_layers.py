@@ -529,6 +529,102 @@ class TestMaxPoolBits:
             reference_maxpool_backward(mask, grad, x.shape).tobytes())
 
 
+def pooled_conv_input(shape, dtype, rng, nan):
+    """Rounded normals whose first sample is all zeros, so every window of
+    its conv output ties at the filter's bias; if asked, one NaN in the
+    last sample makes the windows around it NaN."""
+    x = np.round(2 * rng.standard_normal(shape)).astype(dtype)
+    x[0] = 0
+    if nan:
+        x[-1, 1, 1, 0] = np.nan
+    return x
+
+
+def signed_zero_probe(shape, dtype, rng):
+    """Normals with a fifth of the entries 0.0 or -0.0."""
+    g = rng.standard_normal(shape).astype(dtype)
+    zeros = rng.random(shape) < 0.2
+    g[zeros] = np.copysign(0.0, rng.random(int(zeros.sum())) - 0.5)
+    return g
+
+
+def conv_pool_step(conv, pool, x, probe):
+    """``conv_step`` through ``conv`` and then, if given, a MaxPool layer."""
+    out = conv.forward(x, train=True)
+    if pool is not None:
+        out = pool.forward(out, train=True)
+    conv.weight.grad[...] = 0
+    conv.bias.grad[...] = 0
+    dx = conv.backward(probe if pool is None else pool.backward(probe))
+    return [out, dx, conv.weight.grad.copy(), conv.bias.grad.copy()]
+
+
+class TestPooledConvBits:
+    """Conv2d(pool_size=s) gives the bits of Conv2d followed by MaxPool(s):
+    output, input, weight and bias gradients, in one slice or in slices of
+    2, 2 and 1 samples, on outputs whose last rows or columns the pool
+    crops, with windows tied at the bias, NaN windows and signed-zero
+    gradients."""
+
+    # (input shape, padding): a 7x9 'same' output, and an 8x11 one-channel
+    # input whose 'valid' output is 6x9.
+    CASES = [((5, 7, 9, 2), "same"), ((5, 8, 11, 1), "valid")]
+
+    @pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
+    @pytest.mark.parametrize("per_slice", [None, 2], ids=["one-slice", "slices"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("filters", [1, 3], ids=["F1", "F3"])
+    @pytest.mark.parametrize("size", [2, 3])
+    @pytest.mark.parametrize("shape,padding", CASES, ids=["same-2ch", "valid-1ch"])
+    def test_matches_conv_then_maxpool(self, monkeypatch, shape, padding, size, filters,
+                                       dtype, per_slice, nan):
+        rng = np.random.default_rng(sum(shape) + 10 * size + filters)
+        pooled = Conv2d(shape[3], filters, 3, padding, rng, dtype, pool_size=size)
+        pooled.bias.value[...] = rng.standard_normal(filters)
+        pooled.bias.value[0] = 0.0
+        plain = Conv2d(shape[3], filters, 3, padding, dtype=dtype)
+        plain.weight.value[...] = pooled.weight.value
+        plain.bias.value[...] = pooled.bias.value
+        if per_slice:
+            per_sample = im2col_bytes([plain], *shape[1:3], np.dtype(dtype).itemsize)
+            monkeypatch.setattr(layers, "COLS_BYTES", per_slice * per_sample)
+        x = pooled_conv_input(shape, dtype, rng, nan)
+        with np.errstate(invalid="ignore"):
+            want_out = MaxPool(size).forward(plain.forward(x, train=False), train=False)
+            probe = signed_zero_probe(want_out.shape, dtype, rng)
+            got = conv_pool_step(pooled, None, x, probe)
+            want = conv_pool_step(plain, MaxPool(size), x, probe)
+            assert pooled.forward(x, train=False).tobytes() == want_out.tobytes()
+        assert want_out.tobytes() == want[0].tobytes()
+        for name, a, b in zip(["output", "input grad", "weight grad", "bias grad"], got, want):
+            assert a.dtype == dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_training_cache_holds_one_offset_per_output(self, monkeypatch):
+        layer = Conv2d(2, 3, 3, dtype=np.float64, pool_size=2)
+        monkeypatch.setattr(layers, "COLS_BYTES", 2 * im2col_bytes([layer], 7, 9, 8))
+        x = np.random.default_rng(23).standard_normal((5, 7, 9, 2))
+        out = layer.forward(x, train=True)
+        x_pad, kept, offsets = layer._cache
+        assert kept is None  # three slices: backward rebuilds the columns
+        assert out.shape == (5, 3, 4, 3)
+        assert offsets.shape == out.shape and offsets.dtype == np.uint8
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_pool_size_below_one_is_a_config_error(self, size):
+        with pytest.raises(ConfigError, match="pool_size"):
+            Conv2d(2, 3, 3, pool_size=size)
+
+    def test_output_smaller_than_the_window_names_the_layer(self):
+        layer = Conv2d(1, 2, 3, "valid", pool_size=2, name="conv7")
+        with pytest.raises(ValueError, match=r"conv7\.weight: input \(1, 1, 4, 2\) smaller"):
+            layer.forward(np.zeros((1, 3, 6, 1), dtype=np.float32), train=False)
+
+    def test_config_writes_pool_size_only_above_one(self):
+        assert "pool_size" not in Conv2d(2, 3, 3).config()
+        assert Conv2d(2, 3, 3, pool_size=2).config()["pool_size"] == 2
+
+
 # (filters, input shape) for a 1x1 conv: the bias sees the (rows, F) output
 # matrices of the desk, paper and cropped shapes.
 BIAS_CASES = [(1, (64, 24, 50, 1)), (2, (3, 7, 9, 2)), (3, (64, 12, 25, 2)),
@@ -690,12 +786,15 @@ class TestCacheLifetime:
 
     def test_paper_shape_step_peak(self):
         # The FSDnoisy18k shape: 96x86 patches, channels 32/64/128, kernel 5,
-        # batch 64. This step peaked at 118.0 MB of traced allocations; with
-        # BatchNorm, ReLU and Dense caches held through backward it peaked at
-        # 133.4 MB (numpy 2.4.6).
+        # batch 64. With each conv pooling its output one batch slice at a
+        # time this step peaks at 105.4 MB of traced allocations; with a
+        # MaxPool layer after each conv, which holds the conv's whole output
+        # and then its gradient, it peaked at 118.0 MB, and with BatchNorm,
+        # ReLU and Dense caches also held through backward at 133.4 MB
+        # (numpy 2.4.6).
         _, step = baseline_train_step(96, 86, 64, (32, 64, 128), 5)
         _, peak = traced_step(step)
-        assert peak < 122e6
+        assert peak < 106e6
 
 
 class TestCheckpoint:
@@ -710,6 +809,26 @@ class TestCheckpoint:
         assert meta == {"epoch": 3}
         np.testing.assert_array_equal(arrays["standardizer_mean"], extra["standardizer_mean"])
         np.testing.assert_array_equal(restored.forward(x, train=False), before)
+
+    def test_pooled_conv_config_round_trips(self, tmp_path):
+        # build_baseline pools in its convs; a network may still mix them
+        # with MaxPool layers, as checkpoints written before that do.
+        rng = np.random.default_rng(9)
+        net = layers.Network([Conv2d(1, 2, 3, rng=rng, pool_size=3),
+                              Conv2d(2, 3, 3, rng=rng), MaxPool(2),
+                              Dense(3 * 2 * 2, 4, rng), Softmax()])
+        x = rng.standard_normal((3, 1, 13, 12)).astype(np.float32)
+        save_checkpoint(tmp_path / "net.nbc", net)
+        restored, _, _ = load_checkpoint(tmp_path / "net.nbc")
+        assert [layer.config() for layer in restored.layers] == [
+            layer.config() for layer in net.layers]
+        assert restored.layers[0].config()["pool_size"] == 3
+        assert "pool_size" not in restored.layers[1].config()
+        np.testing.assert_array_equal(restored.forward(x), net.forward(x))
+        built = [layer.config() for layer in build_baseline(16, 16, 4, seed=9).layers]
+        assert [c["kind"] for c in built] == ["batchnorm", "relu", "conv2d"] * 3 + [
+            "dense", "softmax"]
+        assert all(c["pool_size"] == 2 for c in built if c["kind"] == "conv2d")
 
     def test_checkpoint_from_the_nchw_layers_predicts_the_same(self):
         # Written before the layers went channels-last: build_baseline(16, 12,
@@ -781,7 +900,9 @@ class TestCheckpoint:
         lambda h: h.pop("extra"),
         lambda h: h["layers"][0].update(kind="groupnorm"),
         lambda h: h["layers"][2].update(padding="full"),
-    ], ids=["layer-missing-a-key", "layer-missing-a-default", "no-extra", "unknown-kind", "bad-padding"])
+        lambda h: h["layers"][2].update(pool_size=0),
+    ], ids=["layer-missing-a-key", "layer-missing-a-default", "no-extra", "unknown-kind", "bad-padding",
+            "pool-size-below-one"])
     def test_malformed_header_is_a_data_error(self, tmp_path, edit):
         path, data = self.saved(tmp_path)
         self.rewrite_header(path, data, edit)

@@ -404,6 +404,27 @@ class TestBatchedClipEvaluation:
             assert preds[i] == pred_i
         assert clip_accuracy(net, ps) == np.mean(preds == clip_labels)
 
+    # The desk network's conv2 builds the largest columns at 12x25 (64,800
+    # bytes a patch) and the paper network's at 48x43 (6,604,800); at full
+    # resolution they would be 259,200 and 26,419,200 bytes, chunks of 61
+    # and 1 patches, and a chunk of 1 changes paper-shape inference bits
+    # through Dense's product.
+    @pytest.mark.parametrize("n_mels,frames,classes,kwargs,n,chunks", [
+        (24, 50, 4, {"channels": (6, 10, 14), "kernel_size": 3}, 500, [246, 246, 8]),
+        (96, 86, 20, {}, 5, [2, 2, 1]),
+    ], ids=["desk", "paper"])
+    def test_baseline_inference_chunks(self, n_mels, frames, classes, kwargs, n, chunks):
+        net = build_baseline(n_mels, frames, classes, **kwargs)
+        sizes = []
+
+        def forward(x, train=False):
+            sizes.append(len(x))
+            return np.zeros((len(x), classes))
+
+        net.forward = forward
+        predict_clip(net, np.zeros((n, 1, n_mels, frames), dtype=np.float32))
+        assert sizes == chunks
+
     def test_clip_without_patches_rejected(self):
         ps = patchset_from_rows(3, [0, 1, 1], 2)
         ps.clip_ids.append("empty")
