@@ -103,8 +103,8 @@ def _windows(x_pad: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return sliding_window_view(x_pad, (kh, kw), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
 
 
-# Non-overlapping s x s max pooling of NHWC arrays, shared by MaxPool and by
-# a Conv2d that pools each batch slice of its output (pool_size > 1).
+# Non-overlapping s x s max pooling of NHWC arrays, which a Conv2d with
+# pool_size > 1 runs on each batch slice of its output.
 # Trailing rows and columns that do not fill a window are dropped. The
 # gradient of each window goes to its first maximum in row-major window
 # order; training keeps that maximum's offset in the window, one byte per
@@ -175,9 +175,9 @@ class Conv2d(Layer):
     padded input and the pool's offsets; when the batch is one slice its
     columns are kept too, otherwise backward rebuilds each slice's. A pooled
     conv holds its full-resolution output and gradient one slice at a time,
-    with the bits of a conv followed by a MaxPool. A one-channel input lays
-    its columns out transposed (see ``_columns``). Weights are stored
-    (out, in, kh, kw) whatever the activation layout."""
+    with the bits of pooling a plain conv's whole output. A one-channel
+    input lays its columns out transposed (see ``_columns``). Weights are
+    stored (out, in, kh, kw) whatever the activation layout."""
 
     kind = "conv2d"
 
@@ -187,8 +187,8 @@ class Conv2d(Layer):
             raise ConfigError(f"unsupported padding {padding!r}")
         if padding == "same" and kernel_size % 2 == 0:
             raise ConfigError("same padding requires an odd kernel size")
-        if pool_size < 1:
-            raise ConfigError(f"conv pool_size must be >= 1, got {pool_size}")
+        if type(pool_size) is not int or pool_size < 1:
+            raise ConfigError(f"conv pool_size must be an integer >= 1, got {pool_size!r}")
         self.padding = padding
         self.pad = (kernel_size - 1) // 2 if padding == "same" else 0
         self.pool_size = pool_size
@@ -448,38 +448,6 @@ class ReLU(Layer):
         return grad * mask
 
 
-class MaxPool(Layer):
-    """Non-overlapping max pooling (see ``max_pool``) as a layer of its own,
-    for checkpoints whose headers list ``maxpool`` entries;
-    ``build_baseline`` pools inside its convs."""
-
-    kind = "maxpool"
-
-    def __init__(self, size=2):
-        if size < 1:
-            raise ConfigError(f"maxpool size must be >= 1, got {size}")
-        self.size = size
-
-    def forward(self, x, train):
-        s = self.size
-        if x.ndim != 4:
-            raise ValueError(f"maxpool: input shape {x.shape} is not (batch, height, "
-                             f"width, channels)")
-        out = np.empty(pooled_shape(x.shape, s, "maxpool"), dtype=x.dtype)
-        offsets = pool_offsets(out.shape, s) if train else None
-        max_pool(x, s, out, offsets)
-        if train:
-            self._cache = (offsets, x.shape)
-        return out
-
-    def backward(self, grad):
-        offsets, shape = self._take_cache()
-        return max_unpool(offsets, grad, self.size, np.empty(shape, dtype=grad.dtype))
-
-    def config(self):
-        return {"kind": self.kind, "size": self.size}
-
-
 class Dense(Layer):
     kind = "dense"
 
@@ -535,7 +503,7 @@ class Softmax(Layer):
         return y * (grad - (grad * y).sum(axis=1, keepdims=True))
 
 
-_LAYER_KINDS = {cls.kind: cls for cls in (Conv2d, BatchNorm, ReLU, MaxPool, Dense, Softmax)}
+_LAYER_KINDS = {cls.kind: cls for cls in (Conv2d, BatchNorm, ReLU, Dense, Softmax)}
 
 
 class Network:
@@ -591,8 +559,6 @@ def im2col_bytes(layers: list[Layer], height: int, width: int, itemsize: int) ->
             height, width = height + 2 * layer.pad - k + 1, width + 2 * layer.pad - k + 1
             peak = max(peak, height * width * k * k * c * itemsize)
             height, width = height // layer.pool_size, width // layer.pool_size
-        elif isinstance(layer, MaxPool):
-            height, width = height // layer.size, width // layer.size
     return peak
 
 
@@ -665,10 +631,30 @@ def save_checkpoint(path, net: Network, meta: dict | None = None,
             fh.write(np.ascontiguousarray(extra_arrays[name], dtype="<f4").tobytes())
 
 
+def _fold_legacy_pools(configs: list[dict]) -> list[dict]:
+    """Layer configs with each ``maxpool`` entry of a header written before
+    convs pooled, which follows an unpooled conv, folded into that conv's
+    pool_size (the same bits); any other maxpool is a ValueError naming its index."""
+    folded = []
+    for i, c in enumerate(configs):
+        if c["kind"] != "maxpool":
+            folded.append(c)
+            continue
+        prev = configs[i - 1] if i else {}
+        if prev.get("kind") != "conv2d" or "pool_size" in prev or c.keys() != {"kind", "size"}:
+            raise ValueError(f"layer {i}: maxpool must follow an unpooled conv2d and hold "
+                             "only a size")
+        # Only the integer 1 leaves the conv plain; the conv checks any other size.
+        if c["size"] != 1 or type(c["size"]) is not int:
+            folded[-1] = {**prev, "pool_size": c["size"]}
+    return folded
+
+
 def load_checkpoint(path):
     """Rebuild (network, meta, extra_arrays) from a checkpoint file. A file
     cut short, with bytes after its last array or with a header that does
-    not describe layers and extra arrays is a DataError."""
+    not describe layers and extra arrays is a DataError. Legacy ``maxpool``
+    entries load as pooled convs (see ``_fold_legacy_pools``)."""
     with Path(path).open("rb") as fh:
         magic = fh.read(len(_CKPT_MAGIC))
         if magic != _CKPT_MAGIC:
@@ -685,9 +671,10 @@ def load_checkpoint(path):
         (header_len,) = struct.unpack("<I", read(4))
         try:
             header = json.loads(read(header_len).decode("utf-8"))
+            configs = _fold_legacy_pools(header["layers"])
             net = Network([_LAYER_KINDS[c["kind"]](**{k: v for k, v in c.items() if k != "kind"})
-                           for c in header["layers"]])
-            if [layer.config() for layer in net.layers] != header["layers"]:
+                           for c in configs])
+            if [layer.config() for layer in net.layers] != configs:
                 raise ValueError("layer settings missing or not as saved")
             shapes = {name: tuple(header["extra"][name]) for name in sorted(header["extra"])}
             meta = header["meta"]

@@ -1,6 +1,6 @@
-"""Shared helpers: finite-difference gradient checking, tiny datasets and
-interrupted file writes; the report header names what float results depend
-on."""
+"""Shared helpers: finite-difference gradient checking, max pooling as a
+layer of its own, tiny datasets and interrupted file writes; the report
+header names what float results depend on."""
 
 import os
 from pathlib import Path
@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from noisebench import FeatureConfig, gen_synthetic_dataset
+from noisebench.layers import max_pool, max_unpool, pool_offsets, pooled_shape
 
 
 def machine_facts():
@@ -51,6 +52,28 @@ def finite_difference(f, x, step=1e-5):
 def relative_error(a, b):
     scale = max(np.abs(a).max(), np.abs(b).max(), 1e-12)
     return float(np.abs(a - b).max() / scale)
+
+
+class Pool:
+    """Max pooling of NHWC arrays through ``max_pool`` and ``max_unpool``
+    with a layer's forward, backward and params, so pooling on its own
+    takes the layer gradient checks; the network pools only in its convs."""
+
+    def __init__(self, size):
+        self.size = size
+
+    def forward(self, x, train):
+        out = np.empty(pooled_shape(x.shape, self.size, "pool"), dtype=x.dtype)
+        self.offsets = pool_offsets(out.shape, self.size) if train else None
+        self.shape = x.shape
+        return max_pool(x, self.size, out, self.offsets)
+
+    def backward(self, grad):
+        out = np.empty(self.shape, dtype=grad.dtype)
+        return max_unpool(self.offsets, grad, self.size, out)
+
+    def params(self):
+        return []
 
 
 def random_simplex(rng, n, k):

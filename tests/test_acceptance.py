@@ -35,11 +35,11 @@ from noisebench import (
 )
 from noisebench.cli import main as cli_main
 from noisebench.datasets import Split
-from noisebench.layers import BatchNorm, Conv2d, Dense, MaxPool, ReLU, Softmax
+from noisebench.layers import BatchNorm, Conv2d, Dense, ReLU, Softmax
 from noisebench.noise import corrupt_noisy_train
 from noisebench.training import precompute_features
 
-from conftest import finite_difference, random_simplex, relative_error
+from conftest import Pool, finite_difference, random_simplex, relative_error
 
 
 def report(criterion, passed, detail):
@@ -79,7 +79,7 @@ def test_criterion_1_gradient_suite():
                         (2, 5, 7, 2)),
         "batchnorm": (lambda rng: BatchNorm(3, dtype=np.float64), (6, 3, 4, 3)),
         "relu": (lambda rng: ReLU(), (3, 4, 4, 2)),
-        "maxpool": (lambda rng: MaxPool(2), (2, 6, 6, 2)),
+        "maxpool": (lambda rng: Pool(2), (2, 6, 6, 2)),
         "dense": (lambda rng: Dense(12, 4, rng, np.float64), (3, 3, 4, 1)),
         "softmax": (lambda rng: Softmax(), (4, 5)),
     }

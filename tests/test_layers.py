@@ -30,14 +30,17 @@ from noisebench.layers import (
     BatchNorm,
     Conv2d,
     Dense,
-    MaxPool,
     ReLU,
     Softmax,
     _channel_mean,
     im2col_bytes,
+    max_pool,
+    max_unpool,
+    pool_offsets,
+    pooled_shape,
 )
 
-from conftest import finite_difference, relative_error
+from conftest import Pool, finite_difference, relative_error
 
 GRAD_TOL = 1e-4
 DATA = Path(__file__).parent / "data"
@@ -390,21 +393,24 @@ class TestBatchNormBits:
 
 
 class TestMaxPool:
+    """The pooling rule (``max_pool`` and ``max_unpool``) that pooled convs
+    run, through the ``Pool`` test layer."""
+
     def test_window_max_and_floor_crop(self):
         x = np.arange(2 * 1 * 5 * 5, dtype=np.float64).reshape(2, 5, 5, 1)
-        out = MaxPool(2).forward(x, train=False)
+        out = Pool(2).forward(x, train=False)
         assert out.shape == (2, 2, 2, 1)
         assert out[0, 0, 0, 0] == x[0, 1, 1, 0]
 
     def test_gradcheck(self):
         for seed in range(5):
-            layer_gradcheck(lambda rng: MaxPool(2), (2, 6, 8, 3), seed)
+            layer_gradcheck(lambda rng: Pool(2), (2, 6, 8, 3), seed)
 
     def test_ties_route_to_first_element_in_window_order(self):
         # On a constant input every element of every window is a maximum;
         # each window must send its whole upstream gradient to exactly one
         # element, the first in row-major window order (top-left).
-        layer = MaxPool(2)
+        layer = Pool(2)
         x = np.full((2, 5, 7, 3), 1.5)
         layer.forward(x, train=True)
         upstream = np.random.default_rng(8).standard_normal((2, 2, 3, 3))
@@ -413,21 +419,11 @@ class TestMaxPool:
         expected[:, 0:4:2, 0:6:2, :] = upstream
         np.testing.assert_array_equal(dx, expected)
 
-    @pytest.mark.parametrize("size", [0, -1])
-    def test_size_below_one_is_a_config_error(self, size):
-        with pytest.raises(ConfigError, match="maxpool size"):
-            MaxPool(size)
-
-    @pytest.mark.parametrize("shape", [(2, 4, 4), (1, 2, 4, 4, 1)])
-    def test_input_that_is_not_4d_names_the_layer(self, shape):
-        with pytest.raises(ValueError, match=r"maxpool: input shape \("):
-            MaxPool(2).forward(np.zeros(shape), train=False)
-
 
 def reference_maxpool(x, s):
-    """MaxPool's training forward before it cached offsets: the output and
-    a bool mask over the pooled windows, True at each window's first
-    maximum in row-major order."""
+    """Max pooling before it cached offsets: the output and a bool mask
+    over the pooled windows, True at each window's first maximum in
+    row-major order."""
     b, h, w, c = x.shape
     ho, wo = h // s, w // s
     windows = x[:, : ho * s, : wo * s].reshape(b, ho, s, wo, s, c)
@@ -473,8 +469,9 @@ def tied_pool_input(shape, s, rng):
 
 
 class TestMaxPoolBits:
-    """The one-byte offset cache gives the bits of the bool-mask forward and
-    backward, at desk and paper shapes and on a cropped one."""
+    """The one-byte offsets of ``max_pool`` and ``max_unpool`` give the bits
+    of the bool-mask forward and backward, at desk and paper shapes and on
+    a cropped one."""
 
     SHAPES = [(64, 24, 50, 6), (64, 12, 25, 10), (64, 6, 12, 14),
               (64, 96, 86, 32), (64, 48, 43, 64), (64, 24, 21, 128), (3, 7, 9, 2)]
@@ -484,12 +481,11 @@ class TestMaxPoolBits:
     def test_output_and_gradient_bits_match_the_mask(self, shape, size):
         rng = np.random.default_rng(sum(shape) + size)
         x = tied_pool_input(shape, size, rng)
-        layer = MaxPool(size)
+        layer = Pool(size)
         out = layer.forward(x, train=True)
         ref_out, mask = reference_maxpool(x, size)
         assert out.tobytes() == ref_out.tobytes()
-        np.testing.assert_array_equal(layer.forward(x, train=False), out)
-        layer.forward(x, train=True)
+        np.testing.assert_array_equal(Pool(size).forward(x, train=False), out)
         grad = rng.standard_normal(out.shape, dtype=np.float32)
         grad[0, 0, 0, 0] = np.nan
         grad[-1, -1, -1, -1] = np.inf
@@ -503,7 +499,7 @@ class TestMaxPoolBits:
         x = np.zeros((1, 4, 4, 1), dtype=np.float32)
         x[0, :2, :2] = np.nan
         x[0, 2, 3] = np.nan
-        layer = MaxPool(2)
+        layer = Pool(2)
         layer.forward(x, train=True)
         dx = layer.backward(np.ones((1, 2, 2, 1), dtype=np.float32))
         assert dx[0, :, :, 0].tolist() == [[0, 0, 1, 0], [0, 0, 0, 0],
@@ -512,15 +508,15 @@ class TestMaxPoolBits:
     @pytest.mark.parametrize("size,offset_bytes", [(2, 1), (3, 1), (15, 1), (16, 2)])
     def test_training_cache_holds_one_offset_per_output(self, size, offset_bytes):
         x = np.random.default_rng(size).standard_normal((2, 2 * size + 1, 3 * size, 3))
-        layer = MaxPool(size)
-        out = layer.forward(x, train=True)
-        cached = [a for a in layer._cache if isinstance(a, np.ndarray)]
-        assert sum(a.nbytes for a in cached) == offset_bytes * out.size
+        out = np.empty(pooled_shape(x.shape, size, "pool"))
+        offsets = pool_offsets(out.shape, size)
+        max_pool(x, size, out, offsets)
+        assert offsets.nbytes == offset_bytes * out.size
 
     def test_size_16_routes_to_the_first_maximum(self):
         rng = np.random.default_rng(16)
         x = np.round(rng.standard_normal((2, 33, 40, 3)))
-        layer = MaxPool(16)
+        layer = Pool(16)
         out = layer.forward(x, train=True)
         ref_out, mask = reference_maxpool(x, 16)
         grad = rng.standard_normal(out.shape)
@@ -548,23 +544,26 @@ def signed_zero_probe(shape, dtype, rng):
     return g
 
 
-def conv_pool_step(conv, pool, x, probe):
-    """``conv_step`` through ``conv`` and then, if given, a MaxPool layer."""
+def conv_pool_step(conv, size, x, probe):
+    """``conv_step`` through ``conv`` and then, if a size is given, the
+    bool-mask reference pool of that size."""
     out = conv.forward(x, train=True)
-    if pool is not None:
-        out = pool.forward(out, train=True)
+    if size is not None:
+        shape = out.shape
+        out, mask = reference_maxpool(out, size)
+        probe = reference_maxpool_backward(mask, probe, shape)
     conv.weight.grad[...] = 0
     conv.bias.grad[...] = 0
-    dx = conv.backward(probe if pool is None else pool.backward(probe))
+    dx = conv.backward(probe)
     return [out, dx, conv.weight.grad.copy(), conv.bias.grad.copy()]
 
 
 class TestPooledConvBits:
-    """Conv2d(pool_size=s) gives the bits of Conv2d followed by MaxPool(s):
-    output, input, weight and bias gradients, in one slice or in slices of
-    2, 2 and 1 samples, on outputs whose last rows or columns the pool
-    crops, with windows tied at the bias, NaN windows and signed-zero
-    gradients."""
+    """Conv2d(pool_size=s) gives the bits of a plain Conv2d whose output the
+    bool-mask reference pools: output, input, weight and bias gradients,
+    in one slice or in slices of 2, 2 and 1 samples, on outputs whose last
+    rows or columns the pool crops, with windows tied at the bias, NaN
+    windows and signed-zero gradients."""
 
     # (input shape, padding): a 7x9 'same' output, and an 8x11 one-channel
     # input whose 'valid' output is 6x9.
@@ -590,10 +589,10 @@ class TestPooledConvBits:
             monkeypatch.setattr(layers, "COLS_BYTES", per_slice * per_sample)
         x = pooled_conv_input(shape, dtype, rng, nan)
         with np.errstate(invalid="ignore"):
-            want_out = MaxPool(size).forward(plain.forward(x, train=False), train=False)
+            want_out, _ = reference_maxpool(plain.forward(x, train=False), size)
             probe = signed_zero_probe(want_out.shape, dtype, rng)
             got = conv_pool_step(pooled, None, x, probe)
-            want = conv_pool_step(plain, MaxPool(size), x, probe)
+            want = conv_pool_step(plain, size, x, probe)
             assert pooled.forward(x, train=False).tobytes() == want_out.tobytes()
         assert want_out.tobytes() == want[0].tobytes()
         for name, a, b in zip(["output", "input grad", "weight grad", "bias grad"], got, want):
@@ -614,6 +613,17 @@ class TestPooledConvBits:
     def test_pool_size_below_one_is_a_config_error(self, size):
         with pytest.raises(ConfigError, match="pool_size"):
             Conv2d(2, 3, 3, pool_size=size)
+
+    @pytest.mark.parametrize("size", [2.0, True, "2", None])
+    def test_pool_size_that_is_not_an_integer_is_a_config_error(self, size):
+        with pytest.raises(ConfigError, match="pool_size must be an integer"):
+            Conv2d(2, 3, 3, pool_size=size)
+
+    @pytest.mark.parametrize("shape", [(2, 4, 4), (1, 2, 4, 4, 1)])
+    def test_input_that_is_not_4d_names_the_layer(self, shape):
+        layer = Conv2d(1, 2, 3, pool_size=2, name="conv7")
+        with pytest.raises(ValueError, match=r"conv7\.weight: input shape \("):
+            layer.forward(np.zeros(shape), train=False)
 
     def test_output_smaller_than_the_window_names_the_layer(self):
         layer = Conv2d(1, 2, 3, "valid", pool_size=2, name="conv7")
@@ -718,14 +728,15 @@ class TestBaseline:
             assert abs(fd - conv_w.grad[idx]) / denom < 1e-3
 
 
-# One layer of each kind with an input shape it takes.
+# One layer of each kind, and a pooled conv, with an input shape it takes.
 CACHE_CASES = [
-    (lambda: Conv2d(2, 3, 3, dtype=np.float64), (2, 5, 6, 2)),
-    (lambda: BatchNorm(2, dtype=np.float64), (2, 5, 6, 2)),
-    (ReLU, (2, 5, 6, 2)),
-    (lambda: MaxPool(2), (2, 5, 6, 2)),
-    (lambda: Dense(60, 4, dtype=np.float64), (2, 5, 6, 2)),
-    (Softmax, (2, 4)),
+    pytest.param(lambda: Conv2d(2, 3, 3, dtype=np.float64), (2, 5, 6, 2), id="conv2d"),
+    pytest.param(lambda: BatchNorm(2, dtype=np.float64), (2, 5, 6, 2), id="batchnorm"),
+    pytest.param(ReLU, (2, 5, 6, 2), id="relu"),
+    pytest.param(lambda: Conv2d(2, 3, 3, dtype=np.float64, pool_size=2), (2, 5, 6, 2),
+                 id="conv2d_pool"),
+    pytest.param(lambda: Dense(60, 4, dtype=np.float64), (2, 5, 6, 2), id="dense"),
+    pytest.param(Softmax, (2, 4), id="softmax"),
 ]
 
 
@@ -769,8 +780,7 @@ class TestCacheLifetime:
     """A layer holds its training cache from a training forward until the
     backward that reads it, and no longer."""
 
-    @pytest.mark.parametrize("make,shape", CACHE_CASES,
-                             ids=[f().kind for f, _ in CACHE_CASES])
+    @pytest.mark.parametrize("make,shape", CACHE_CASES)
     def test_a_second_backward_has_no_cache(self, make, shape):
         layer = make()
         out = layer.forward(np.random.default_rng(3).standard_normal(shape), train=True)
@@ -788,13 +798,27 @@ class TestCacheLifetime:
         # The FSDnoisy18k shape: 96x86 patches, channels 32/64/128, kernel 5,
         # batch 64. With each conv pooling its output one batch slice at a
         # time this step peaks at 105.4 MB of traced allocations; with a
-        # MaxPool layer after each conv, which holds the conv's whole output
+        # max-pool layer after each conv, which held the conv's whole output
         # and then its gradient, it peaked at 118.0 MB, and with BatchNorm,
         # ReLU and Dense caches also held through backward at 133.4 MB
         # (numpy 2.4.6).
         _, step = baseline_train_step(96, 86, 64, (32, 64, 128), 5)
         _, peak = traced_step(step)
         assert peak < 106e6
+
+
+def insert_maxpool(header, index, size=2):
+    """Insert a legacy ``maxpool`` entry of ``size`` at ``index`` of a
+    checkpoint header's layers."""
+    header["layers"].insert(index, {"kind": "maxpool", "size": size})
+
+
+def unfold_pool(header, index, size=2):
+    """Write the pooled conv at ``index`` of a checkpoint header as
+    checkpoints did before convs pooled: a plain conv, then a ``maxpool``
+    entry of ``size``."""
+    header["layers"][index].pop("pool_size")
+    insert_maxpool(header, index + 1, size)
 
 
 class TestCheckpoint:
@@ -811,12 +835,12 @@ class TestCheckpoint:
         np.testing.assert_array_equal(restored.forward(x, train=False), before)
 
     def test_pooled_conv_config_round_trips(self, tmp_path):
-        # build_baseline pools in its convs; a network may still mix them
-        # with MaxPool layers, as checkpoints written before that do.
+        # build_baseline pools in every conv; a network may mix pooled
+        # and plain convs.
         rng = np.random.default_rng(9)
         net = layers.Network([Conv2d(1, 2, 3, rng=rng, pool_size=3),
-                              Conv2d(2, 3, 3, rng=rng), MaxPool(2),
-                              Dense(3 * 2 * 2, 4, rng), Softmax()])
+                              Conv2d(2, 3, 3, rng=rng),
+                              Dense(3 * 4 * 4, 4, rng), Softmax()])
         x = rng.standard_normal((3, 1, 13, 12)).astype(np.float32)
         save_checkpoint(tmp_path / "net.nbc", net)
         restored, _, _ = load_checkpoint(tmp_path / "net.nbc")
@@ -840,6 +864,60 @@ class TestCheckpoint:
         probs = net.forward(extra["input"], train=False)
         np.testing.assert_allclose(probs, extra["probs"], rtol=0, atol=1e-6)
         np.testing.assert_array_equal(probs.argmax(axis=1), extra["probs"].argmax(axis=1))
+
+    def test_legacy_header_loads_as_pooled_convs(self):
+        data = (DATA / "nchw_checkpoint.nbc").read_bytes()
+        assert [c["kind"] for c in self.header(data)["layers"]].count("maxpool") == 3
+        net, _, _ = load_checkpoint(DATA / "nchw_checkpoint.nbc")
+        built = build_baseline(16, 12, 4, channels=(3, 4, 5), seed=9)
+        assert [layer.config() for layer in net.layers] == [
+            layer.config() for layer in built.layers]
+
+    def test_resaved_legacy_checkpoint_has_no_maxpool_entry(self, tmp_path):
+        save_checkpoint(tmp_path / "a.nbc", *load_checkpoint(DATA / "nchw_checkpoint.nbc"))
+        first = (tmp_path / "a.nbc").read_bytes()
+        assert [c["kind"] for c in self.header(first)["layers"]] == [
+            "batchnorm", "relu", "conv2d"] * 3 + ["dense", "softmax"]
+        save_checkpoint(tmp_path / "b.nbc", *load_checkpoint(tmp_path / "a.nbc"))
+        assert (tmp_path / "b.nbc").read_bytes() == first
+
+    def test_unfolded_checkpoint_resaves_as_written(self, tmp_path):
+        path, data = self.saved(tmp_path)
+        self.rewrite_header(path, data, lambda h: [unfold_pool(h, i) for i in (8, 5, 2)])
+        assert [c["kind"] for c in self.header(path.read_bytes())["layers"]].count(
+            "maxpool") == 3
+        save_checkpoint(tmp_path / "again.nbc", *load_checkpoint(path))
+        assert (tmp_path / "again.nbc").read_bytes() == data
+
+    def test_legacy_maxpool_of_size_one_loads_as_the_plain_conv(self, tmp_path):
+        rng = np.random.default_rng(9)
+        net = layers.Network([Conv2d(1, 2, 3, rng=rng), Dense(2 * 4 * 5, 3, rng), Softmax()])
+        path = tmp_path / "net.nbc"
+        save_checkpoint(path, net)
+        self.rewrite_header(path, path.read_bytes(), lambda h: insert_maxpool(h, 1, 1))
+        restored, _, _ = load_checkpoint(path)
+        assert [layer.config() for layer in restored.layers] == [
+            layer.config() for layer in net.layers]
+        x = rng.standard_normal((2, 1, 4, 5)).astype(np.float32)
+        np.testing.assert_array_equal(restored.forward(x), net.forward(x))
+
+    # build_baseline's layers: batchnorm, relu, conv2d at 0-2, 3-5 and 6-8.
+    @pytest.mark.parametrize("index,edit", [
+        (0, lambda h: insert_maxpool(h, 0)),
+        (1, lambda h: insert_maxpool(h, 1)),
+        (3, lambda h: insert_maxpool(h, 3)),
+        (3, lambda h: (unfold_pool(h, 2), h["layers"][3].pop("size"))),
+        (3, lambda h: (unfold_pool(h, 2), h["layers"][3].update(stride=2))),
+        (4, lambda h: (unfold_pool(h, 2), insert_maxpool(h, 4))),
+    ], ids=["first", "after-batchnorm", "after-a-pooled-conv", "no-size", "unknown-key",
+            "after-a-maxpool"])
+    def test_misplaced_legacy_maxpool_is_a_data_error_naming_its_index(self, tmp_path,
+                                                                       index, edit):
+        path, data = self.saved(tmp_path)
+        self.rewrite_header(path, data, edit)
+        with pytest.raises(DataError, match=rf"{path.name}: unreadable checkpoint header "
+                                            rf"\(ValueError\('layer {index}: maxpool "):
+            load_checkpoint(path)
 
     def test_interrupted_write_keeps_the_previous_file(self, tmp_path, interrupt_writes):
         path = tmp_path / "net.nbc"
@@ -885,11 +963,16 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @staticmethod
-    def rewrite_header(path, data, edit):
+    def header(data):
+        """The JSON header of checkpoint bytes ``data``."""
+        return json.loads(data[12 : 12 + int.from_bytes(data[8:12], "little")])
+
+    @classmethod
+    def rewrite_header(cls, path, data, edit):
         """Write ``data`` back to ``path`` with its JSON header passed through
         ``edit`` and the header length fixed up."""
         header_end = 12 + int.from_bytes(data[8:12], "little")
-        header = json.loads(data[12:header_end])
+        header = cls.header(data)
         edit(header)
         raw = json.dumps(header).encode()
         path.write_bytes(data[:8] + len(raw).to_bytes(4, "little") + raw + data[header_end:])
@@ -901,8 +984,13 @@ class TestCheckpoint:
         lambda h: h["layers"][0].update(kind="groupnorm"),
         lambda h: h["layers"][2].update(padding="full"),
         lambda h: h["layers"][2].update(pool_size=0),
+        lambda h: h["layers"][2].update(pool_size=2.0),
+        lambda h: unfold_pool(h, 2, 0),
+        lambda h: unfold_pool(h, 2, -1),
+        lambda h: unfold_pool(h, 2, 2.0),
     ], ids=["layer-missing-a-key", "layer-missing-a-default", "no-extra", "unknown-kind", "bad-padding",
-            "pool-size-below-one"])
+            "pool-size-below-one", "pool-size-not-an-integer", "legacy-maxpool-size-0",
+            "legacy-maxpool-size-minus-1", "legacy-maxpool-size-not-an-integer"])
     def test_malformed_header_is_a_data_error(self, tmp_path, edit):
         path, data = self.saved(tmp_path)
         self.rewrite_header(path, data, edit)
