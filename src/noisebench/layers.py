@@ -9,9 +9,10 @@ reshape for single-channel log-mel patches. Parameters keep a layout-free
 shape: conv weights are (out, in, kh, kw) and ``Dense`` flattens its input
 in (channels, height, width) order, so checkpoints do not depend on the
 activation layout. A training forward caches what the layer's backward
-needs, and that backward takes the cache and drops it, so a layer holds it
-only between the two; backward returns the input gradient and accumulates
-parameter gradients in place.
+needs, referring to arrays it was handed rather than copying them (a conv
+keeps its caller's input, never a padded copy), and that backward takes
+the cache and drops it, so a layer holds it only between the two; backward
+returns the input gradient and accumulates parameter gradients in place.
 """
 
 from __future__ import annotations
@@ -170,14 +171,18 @@ class Conv2d(Layer):
     """Stride-1 cross-correlation with zero 'same' or 'valid' padding,
     computed as im2col matrix products over batch slices of at most
     COLS_BYTES of columns (see ``samples_per_slice``), then, with
-    pool_size > 1, max-pooled (see ``max_pool``). 'same' padding
-    copies the input into a zeroed array. Training caches the
-    padded input and the pool's offsets; when the batch is one slice its
-    columns are kept too, otherwise backward rebuilds each slice's. A pooled
-    conv holds its full-resolution output and gradient one slice at a time,
-    with the bits of pooling a plain conv's whole output. A one-channel
-    input lays its columns out transposed (see ``_columns``). Weights are
-    stored (out, in, kh, kw) whatever the activation layout."""
+    pool_size > 1, max-pooled (see ``max_pool``). 'same' padding copies
+    each slice into a zeroed padded buffer of one slice just before its
+    columns are built, so no padded copy of the whole batch is made.
+    Training caches the pool's offsets and, when the batch is one slice,
+    its columns; otherwise it refers to the caller's input array, as
+    'valid' padding always did, and backward pads and lowers each slice
+    again. Backward sums each slice's input gradient in a zeroed padded
+    slice and copies its interior into the unpadded input gradient. A
+    pooled conv holds its full-resolution output and gradient one slice at
+    a time, with the bits of pooling a plain conv's whole output. A
+    one-channel input lays its columns out transposed (see ``_columns``).
+    Weights are stored (out, in, kh, kw) whatever the activation layout."""
 
     kind = "conv2d"
 
@@ -200,32 +205,49 @@ class Conv2d(Layer):
         self.bias = Param(f"{name}.bias", np.zeros(out_channels, dtype),
                           np.zeros(out_channels, dtype))
 
-    def _slices(self, x_pad):
-        """The window view of x_pad, an empty column buffer for one slice, and
-        the (start, stop) batch ranges of the slices."""
-        windows = _windows(x_pad, *self.weight.value.shape[2:])
-        b, ho, wo, kh, kw, c = windows.shape
-        n = samples_per_slice(ho * wo * kh * kw * c * x_pad.itemsize, b)
-        cols = np.empty(min(n, b) * ho * wo * kh * kw * c, dtype=x_pad.dtype)
-        return windows, cols, [(s, min(s + n, b)) for s in range(0, b, n)]
+    def _slices(self, shape, dtype):
+        """The (start, stop) batch ranges of the slices of an NHWC input
+        ``shape``, and a zeroed padded input buffer ('same' only) and an
+        empty column buffer, each for one slice."""
+        b, h, wd, c = shape
+        _, _, kh, kw = self.weight.value.shape
+        p = self.pad
+        sample = (h + 2 * p - kh + 1) * (wd + 2 * p - kw + 1) * kh * kw * c
+        n = samples_per_slice(sample * np.dtype(dtype).itemsize, b)
+        buf = np.zeros((min(n, b), h + 2 * p, wd + 2 * p, c), dtype=dtype) if p else None
+        cols = np.empty(min(n, b) * sample, dtype=dtype)
+        return [(s, min(s + n, b)) for s in range(0, b, n)], buf, cols
+
+    def _padded(self, x, buf, s, e):
+        """Samples s:e of x as the kernels see them: for 'same' padding
+        copied into the interior of buf's first e - s samples, whose border
+        stays zero; for 'valid' x[s:e] itself."""
+        p = self.pad
+        if not p:
+            return x[s:e]
+        buf[: e - s, p:-p, p:-p] = x[s:e]
+        return buf[: e - s]
 
     @staticmethod
-    def _columns(x_pad, windows, cols, s, e):
-        """Copy the columns of samples s:e into the buffer and return them as
-        a (rows, kh*kw*C) matrix. A one-channel input fills a transposed
-        (kh*kw, rows) matrix, one contiguous copy of shifted input rows per
-        kernel offset, where the general copy would move single floats."""
-        _, ho, wo, kh, kw, c = windows.shape
-        n_rows = (e - s) * ho * wo
+    def _columns(xs, kh, kw, cols):
+        """Copy the columns of a padded batch slice into the buffer and
+        return them as a (rows, kh*kw*C) matrix. A one-channel input fills a
+        transposed (kh*kw, rows) matrix, one contiguous copy of shifted input
+        rows per kernel offset, where the general copy would move single
+        floats."""
+        n, hp, wp, c = xs.shape
+        ho, wo = hp - kh + 1, wp - kw + 1
+        n_rows = n * ho * wo
         if c == 1:
             cols_t = cols[: kh * kw * n_rows].reshape(kh * kw, n_rows)
             for i in range(kh):
                 for j in range(kw):
-                    np.copyto(cols_t[i * kw + j].reshape(e - s, ho, wo),
-                              x_pad[s:e, i : i + ho, j : j + wo, 0])
+                    np.copyto(cols_t[i * kw + j].reshape(n, ho, wo),
+                              xs[:, i : i + ho, j : j + wo, 0])
             return cols_t.T
+        windows = _windows(xs, kh, kw)
         rows = cols[: n_rows * kh * kw * c].reshape(n_rows, kh * kw * c)
-        np.copyto(rows.reshape(windows[s:e].shape), windows[s:e])
+        np.copyto(rows.reshape(windows.shape), windows)
         return rows
 
     def forward(self, x, train):
@@ -235,18 +257,13 @@ class Conv2d(Layer):
                 f"{self.weight.name}: input shape {x.shape} incompatible with "
                 f"weight shape {w.shape}"
             )
-        p = self.pad
-        if p:
-            b, h, wd, c = x.shape
-            x_pad = np.zeros((b, h + 2 * p, wd + 2 * p, c), dtype=x.dtype)
-            x_pad[:, p:-p, p:-p] = x
-        else:
-            x_pad = x
-        windows, cols, slices = self._slices(x_pad)
-        b, ho, wo = windows.shape[:3]
-        f, q = w.shape[0], self.pool_size
+        f, _, kh, kw = w.shape
+        q, p = self.pool_size, self.pad
+        b, h, wd, _ = x.shape
+        ho, wo = h + 2 * p - kh + 1, wd + 2 * p - kw + 1
+        slices, buf, cols = self._slices(x.shape, x.dtype)
         w_mat = w.transpose(2, 3, 1, 0).reshape(-1, f)
-        dtype = np.result_type(x_pad, w)
+        dtype = np.result_type(x, w)
         # The bias is added over rows of wo * F values, not rows of F: the
         # same elementwise sums without numpy's per-row overhead.
         bias_row = _widen(self.bias.value, wo)
@@ -258,7 +275,7 @@ class Conv2d(Layer):
             offsets = pool_offsets(out.shape, q) if train else None
             conv = np.empty((slices[0][1] * ho * wo, f), dtype=dtype)
         for s, e in slices:
-            rows = self._columns(x_pad, windows, cols, s, e)
+            rows = self._columns(self._padded(x, buf, s, e), kh, kw, cols)
             part = conv[s * ho * wo : e * ho * wo] if q == 1 else conv[: (e - s) * ho * wo]
             np.matmul(rows, w_mat, out=part)
             part.reshape((e - s) * ho, -1)[...] += bias_row
@@ -266,16 +283,24 @@ class Conv2d(Layer):
                 max_pool(part.reshape(e - s, ho, wo, f), q, out[s:e],
                          None if offsets is None else offsets[s:e])
         if train:
-            self._cache = (x_pad, rows if len(slices) == 1 else None, offsets)
+            # One slice keeps its columns, and backward needs only the input's
+            # shape besides; more slices keep the caller's input.
+            kept = (None, rows) if len(slices) == 1 else (x, None)
+            self._cache = (x.shape, *kept, offsets)
         return out.reshape(b, ho, wo, f) if q == 1 else out
 
     def backward(self, grad):
-        x_pad, kept, offsets = self._take_cache()
+        shape, x, kept, offsets = self._take_cache()
         w = self.weight.value
         f, c, kh, kw = w.shape
-        q = self.pool_size
-        b, ho, wo = x_pad.shape[0], x_pad.shape[1] - kh + 1, x_pad.shape[2] - kw + 1
-        windows, cols, slices = self._slices(x_pad) if kept is None else (None, None, [(0, b)])
+        q, p = self.pool_size, self.pad
+        b, h, wd, _ = shape
+        ho, wo = h + 2 * p - kh + 1, wd + 2 * p - kw + 1
+        if kept is None:
+            slices, buf, cols = self._slices(shape, x.dtype)
+        else:
+            slices = [(0, b)]
+        n = slices[0][1]
         # The gradient of the unpooled output. A pooled conv with F >= 2
         # filters unpools one slice at a time into g_buf's rows 1 onwards,
         # and row 0 carries the bias sum so far into the next slice's einsum:
@@ -289,8 +314,12 @@ class Conv2d(Layer):
             g_mat = max_unpool(offsets, grad, q, np.empty((b, ho, wo, f), dtype=grad.dtype))
             g_mat = g_mat.reshape(b * ho * wo, f)
         else:
-            g_buf = np.empty((1 + slices[0][1] * ho * wo, f), dtype=grad.dtype)
-        dx = np.zeros(x_pad.shape, dtype=grad.dtype)
+            g_buf = np.empty((1 + n * ho * wo, f), dtype=grad.dtype)
+        # Each slice's input gradient is summed in a zeroed padded slice,
+        # whose interior is copied into dx; one slice returns that interior.
+        acc = np.zeros((n, h + 2 * p, wd + 2 * p, c), dtype=grad.dtype)
+        interior = (slice(None), slice(p, p + h), slice(p, p + wd))
+        dx = acc[interior] if len(slices) == 1 else np.empty(shape, dtype=grad.dtype)
         for s, e in slices:
             if per_slice:
                 g = g_buf[1 : 1 + (e - s) * ho * wo]
@@ -302,20 +331,34 @@ class Conv2d(Layer):
                     bias_grad = np.einsum("ij->j", g_buf[: 1 + len(g)])
             else:
                 g = g_mat[s * ho * wo : e * ho * wo]
-            rows = kept if kept is not None else self._columns(x_pad, windows, cols, s, e)
-            # Weight gradient as g.T @ rows: on either column layout it gives
-            # the bits of rows.T @ g on the general one at desk (k=3) and
-            # paper (k=5, 32 filters) widths. rows.T @ g on the transposed
-            # layout reaches OpenBLAS's small-matrix kernels in another
-            # form, which round differently on batches under 14 desk patches.
-            self.weight.grad += (g.T @ rows).reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
+            if kept is None:
+                rows = self._columns(self._padded(x, buf, s, e), kh, kw, cols)
+            else:
+                rows = kept
+            # Weight gradient as rows.T @ g on the general column layout and
+            # g.T @ rows on the transposed one-channel one: both give the bits
+            # of g.T @ rows on the general layout at desk (k=3) and paper (k=5)
+            # widths, and rows.T @ g is the faster there (paper conv2 177 ->
+            # 155 ms a step, conv3 123 -> 109 ms). rows.T @ g on the transposed
+            # layout reaches OpenBLAS's small-matrix kernels in another form,
+            # which round differently on batches under 14 desk patches.
+            if c == 1:
+                dw = (g.T @ rows).reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
+            else:
+                dw = (rows.T @ g).reshape(kh, kw, c, f).transpose(3, 2, 0, 1)
+            self.weight.grad += dw
             # Input gradient, one kernel offset at a time: a (rows, C) product
             # added into its shifted window. No (rows, kh*kw*C) gradient matrix
             # is made, and each add runs over contiguous channels-last rows.
+            d = acc[: e - s]
+            if s:
+                d[...] = 0
             for i in range(kh):
                 for j in range(kw):
-                    dx[s:e, i : i + ho, j : j + wo, :] += (
+                    d[:, i : i + ho, j : j + wo, :] += (
                         (g @ w[:, :, i, j]).reshape(e - s, ho, wo, c))
+            if len(slices) > 1:
+                dx[s:e] = d[interior]
         # einsum sums each column row after row, like sum(axis=0) on F >= 2
         # columns but without its per-row overhead. A single column is one
         # contiguous run, which sum() adds pairwise: einsum would round it
@@ -323,8 +366,7 @@ class Conv2d(Layer):
         if not per_slice:
             bias_grad = np.einsum("ij->j", g_mat) if f > 1 else g_mat.sum(axis=0)
         self.bias.grad += bias_grad
-        p = self.pad
-        return dx[:, p : x_pad.shape[1] - p, p : x_pad.shape[2] - p, :] if p else dx
+        return dx
 
     def params(self):
         return [self.weight, self.bias]
@@ -534,9 +576,6 @@ class Network:
     def zero_grads(self) -> None:
         for p in self.params():
             p.grad[...] = 0
-
-    def param_count(self) -> int:
-        return sum(p.value.size for p in self.params())
 
     def get_state(self) -> list[np.ndarray]:
         return [a.copy() for layer in self.layers for a in layer.state_arrays()]

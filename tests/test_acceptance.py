@@ -302,7 +302,7 @@ def test_criterion_4_noise_statistics():
 
 def test_criterion_5_baseline_shape():
     net = build_baseline(96, 86, 20)
-    count = net.param_count()
+    count = sum(p.value.size for p in net.params())
     budget_ok = 400_000 <= count <= 600_000
     x = np.random.default_rng(5).standard_normal((8, 1, 96, 86)).astype(np.float32)
     probs = net.forward(x, train=False)

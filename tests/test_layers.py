@@ -156,11 +156,28 @@ class TestConv2dSlices:
     def test_training_cache_holds_at_most_the_budget(self, monkeypatch):
         layer = Conv2d(self.X_SHAPE[3], 3, 3, "same", dtype=np.float64)
         self.two_sample_budget(monkeypatch, layer)
-        layer.forward(np.random.default_rng(22).standard_normal(self.X_SHAPE), train=True)
-        assert layer._slices(layer._cache[0])[2] == [(0, 2), (2, 4), (4, 5)]
+        lowered = []
+        columns = Conv2d._columns
+
+        def record(xs, *rest):
+            lowered.append(xs.copy())
+            return columns(xs, *rest)
+
+        monkeypatch.setattr(Conv2d, "_columns", staticmethod(record))
+        x = np.random.default_rng(22).standard_normal(self.X_SHAPE)
+        x_pad = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+        slices = [x_pad[0:2], x_pad[2:4], x_pad[4:5]]
+        out = layer.forward(x, train=True)
+        assert len(lowered) == 3
+        assert all(np.array_equal(a, b) for a, b in zip(lowered, slices))
         cached = [a for a in layer._cache if isinstance(a, np.ndarray)]
-        assert cached
+        assert any(a is x for a in cached)
         assert max(a.nbytes for a in cached) <= layers.COLS_BYTES
+        assert not any(a.shape[1:3] == x_pad.shape[1:3] for a in cached if a.ndim == 4)
+        lowered.clear()
+        layer.backward(np.ones_like(out))  # lowers the same slices again
+        assert len(lowered) == 3
+        assert all(np.array_equal(a, b) for a, b in zip(lowered, slices))
 
 
 class TestConv2dSlicesOneChannel(TestConv2dSlices):
@@ -168,6 +185,15 @@ class TestConv2dSlicesOneChannel(TestConv2dSlices):
     transposed from shifted input rows."""
 
     X_SHAPE = (5, 6, 7, 1)
+
+
+def im2col(x, kernel, pad):
+    """Contiguous (rows, kernel*kernel*C) im2col columns of an NHWC array,
+    channels fastest."""
+    x_pad = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    windows = sliding_window_view(x_pad, (kernel, kernel), axis=(1, 2))
+    return np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3)).reshape(
+        -1, kernel * kernel * x.shape[3])
 
 
 def general_column_step(layer, x, probe, samples_per_slice):
@@ -186,8 +212,7 @@ def general_column_step(layer, x, probe, samples_per_slice):
     dx = np.zeros_like(x_pad)
     for s in range(0, b, samples_per_slice):
         e = min(s + samples_per_slice, b)
-        windows = sliding_window_view(x_pad[s:e], (kh, kw), axis=(1, 2))
-        cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3)).reshape(-1, kh * kw * c)
+        cols = im2col(x[s:e], kh, p)
         g = g_mat[s * ho * wo : e * ho * wo]
         out[s * ho * wo : e * ho * wo] = cols @ w_mat
         dw += (cols.T @ g).reshape(kh, kw, c, f).transpose(3, 2, 0, 1)
@@ -223,6 +248,37 @@ class TestOneChannelColumns:
         for name, a, b in zip(["output", "input grad", "weight grad", "bias grad"], got, want):
             assert a.dtype == np.float32, name
             assert np.array_equal(a, b), name
+
+
+class TestGeneralColumnWeightGradient:
+    """With C > 1 input channels the weight gradient is rows.T @ g, which
+    has the float32 bits of g.T @ rows, the form every earlier result was
+    computed with, for desk batches of 1 to 64 patches at the conv2 and
+    conv3 shapes and for paper-shape column slices."""
+
+    # (input height, width, channels, filters) of the desk conv2 and conv3.
+    @pytest.mark.parametrize("h,w,c,filters", [(12, 25, 6, 10), (6, 12, 10, 14)],
+                             ids=["desk-conv2", "desk-conv3"])
+    def test_desk_batches(self, h, w, c, filters):
+        rng = np.random.default_rng(41)
+        layer = Conv2d(c, filters, 3, "same", rng, np.float32)
+        for batch in range(1, 65):
+            x = rng.standard_normal((batch, h, w, c), dtype=np.float32)
+            probe = rng.standard_normal((batch, h, w, filters), dtype=np.float32)
+            dw = conv_step(layer, x, probe)[2]
+            g_t_rows = probe.reshape(-1, filters).T @ im2col(x, 3, 1)
+            want = np.zeros_like(dw) + g_t_rows.reshape(filters, 3, 3, c).transpose(0, 3, 1, 2)
+            assert dw.tobytes() == want.tobytes(), batch
+
+    # (samples per slice, input height, width, channels, filters) of the
+    # paper conv2 and conv3 under the default COLS_BYTES.
+    @pytest.mark.parametrize("n,h,w,c,filters", [(2, 48, 43, 32, 64), (4, 24, 21, 64, 128)],
+                             ids=["paper-conv2", "paper-conv3"])
+    def test_paper_slices(self, n, h, w, c, filters):
+        rng = np.random.default_rng(42)
+        rows = im2col(rng.standard_normal((n, h, w, c), dtype=np.float32), 5, 2)
+        g = rng.standard_normal((len(rows), filters), dtype=np.float32)
+        assert np.array_equal((rows.T @ g).T, g.T @ rows)
 
 
 class TestBatchNorm:
@@ -604,8 +660,9 @@ class TestPooledConvBits:
         monkeypatch.setattr(layers, "COLS_BYTES", 2 * im2col_bytes([layer], 7, 9, 8))
         x = np.random.default_rng(23).standard_normal((5, 7, 9, 2))
         out = layer.forward(x, train=True)
-        x_pad, kept, offsets = layer._cache
+        _, cached_x, kept, offsets = layer._cache
         assert kept is None  # three slices: backward rebuilds the columns
+        assert cached_x is x
         assert out.shape == (5, 3, 4, 3)
         assert offsets.shape == out.shape and offsets.dtype == np.uint8
 
@@ -677,14 +734,18 @@ class TestSoftmax:
             layer_gradcheck(lambda rng: Softmax(), (4, 6), seed)
 
 
+def param_count(net):
+    return sum(p.value.size for p in net.params())
+
+
 class TestBaseline:
     def test_parameter_budget(self):
         net = build_baseline(96, 86, 20)
-        assert 400_000 <= net.param_count() <= 600_000
+        assert 400_000 <= param_count(net) <= 600_000
 
     def test_param_count_is_a_pure_function_of_dims(self):
-        a = build_baseline(96, 86, 20, seed=1).param_count()
-        b = build_baseline(96, 86, 20, seed=99).param_count()
+        a = param_count(build_baseline(96, 86, 20, seed=1))
+        b = param_count(build_baseline(96, 86, 20, seed=99))
         assert a == b
 
     def test_output_simplex(self):
@@ -796,15 +857,38 @@ class TestCacheLifetime:
 
     def test_paper_shape_step_peak(self):
         # The FSDnoisy18k shape: 96x86 patches, channels 32/64/128, kernel 5,
-        # batch 64. With each conv pooling its output one batch slice at a
-        # time this step peaks at 105.4 MB of traced allocations; with a
+        # batch 64. With each conv padding, lowering and pooling one batch
+        # slice at a time this step peaks at 97.89 MB of traced allocations.
+        # Padding each conv's whole batch, caching the padded copy and
+        # summing a padded input gradient, it peaked at 105.38 MB; with a
         # max-pool layer after each conv, which held the conv's whole output
-        # and then its gradient, it peaked at 118.0 MB, and with BatchNorm,
-        # ReLU and Dense caches also held through backward at 133.4 MB
-        # (numpy 2.4.6).
+        # and then its gradient, at 118.0 MB, and with BatchNorm, ReLU and
+        # Dense caches also held through backward at 133.4 MB (numpy 2.4.6).
         _, step = baseline_train_step(96, 86, 64, (32, 64, 128), 5)
         _, peak = traced_step(step)
-        assert peak < 106e6
+        assert peak < 98.5e6
+
+    @pytest.mark.parametrize("channels", [1, 8])
+    def test_sliced_same_conv_holds_no_padded_batch(self, monkeypatch, channels):
+        # A pooled 'same' conv over 32 slices of 2 samples: beyond its
+        # output and input gradient, forward and backward together must
+        # allocate less than one zero-padded copy of the whole batch. Padding
+        # the whole batch, cached through backward, and a padded input
+        # gradient took 1.2 and 8.0 MB above them, against padded copies of
+        # 0.7 and 5.5 MB; slice by slice it takes 0.4 and 2.2 MB (numpy 2.4.6).
+        layer = Conv2d(channels, 4, 3, "same", dtype=np.float64, pool_size=2)
+        monkeypatch.setattr(layers, "COLS_BYTES", 2 * im2col_bytes([layer], 24, 50, 8))
+        x = np.random.default_rng(24).standard_normal((64, 24, 50, channels))
+        probe = np.ones((64, 12, 25, 4))
+        result = {}
+
+        def step():
+            result["out"] = layer.forward(x, train=True)
+            result["dx"] = layer.backward(probe)
+
+        _, peak = traced_step(step)
+        padded = 64 * 26 * 52 * channels * 8
+        assert peak - result["out"].nbytes - result["dx"].nbytes < padded
 
 
 def insert_maxpool(header, index, size=2):
