@@ -13,6 +13,10 @@ needs, referring to arrays it was handed rather than copying them (a conv
 keeps its caller's input, never a padded copy), and that backward takes
 the cache and drops it, so a layer holds it only between the two; backward
 returns the input gradient and accumulates parameter gradients in place.
+A ``Network`` trains each BatchNorm, ReLU, Conv2d in a row as one
+pre-activation stage: the BatchNorm caches x-hat and makes no output, and
+the conv computes its input from that cache one batch slice at a time, so
+neither the ReLU nor the conv caches an input (see ``Conv2d.stage_forward``).
 """
 
 from __future__ import annotations
@@ -178,11 +182,16 @@ class Conv2d(Layer):
     its columns; otherwise it refers to the caller's input array, as
     'valid' padding always did, and backward pads and lowers each slice
     again. Backward sums each slice's input gradient in a zeroed padded
-    slice and copies its interior into the unpadded input gradient. A
-    pooled conv holds its full-resolution output and gradient one slice at
-    a time, with the bits of pooling a plain conv's whole output. A
-    one-channel input lays its columns out transposed (see ``_columns``).
-    Weights are stored (out, in, kh, kw) whatever the activation layout."""
+    slice and copies its interior into the unpadded input gradient. In a
+    pre-activation stage (``stage_forward``) the conv caches no input: each
+    slice's buffer, 'valid' too, is filled with the stage's ReLU'd
+    BatchNorm output from the BatchNorm's cache, and again in backward,
+    which also applies the ReLU's mask; one slice keeps that mask, one byte
+    an input element, beside its columns. A pooled conv holds its
+    full-resolution output and gradient one slice at a time, with the bits
+    of pooling a plain conv's whole output. A one-channel input lays its
+    columns out transposed (see ``_columns``). Weights are stored (out, in,
+    kh, kw) whatever the activation layout."""
 
     kind = "conv2d"
 
@@ -205,27 +214,34 @@ class Conv2d(Layer):
         self.bias = Param(f"{name}.bias", np.zeros(out_channels, dtype),
                           np.zeros(out_channels, dtype))
 
-    def _slices(self, shape, dtype):
+    def _slices(self, shape, dtype, staged):
         """The (start, stop) batch ranges of the slices of an NHWC input
-        ``shape``, and a zeroed padded input buffer ('same' only) and an
-        empty column buffer, each for one slice."""
+        ``shape``, and a zeroed padded input buffer ('same' or ``staged``)
+        and an empty column buffer, each for one slice."""
         b, h, wd, c = shape
         _, _, kh, kw = self.weight.value.shape
         p = self.pad
         sample = (h + 2 * p - kh + 1) * (wd + 2 * p - kw + 1) * kh * kw * c
         n = samples_per_slice(sample * np.dtype(dtype).itemsize, b)
-        buf = np.zeros((min(n, b), h + 2 * p, wd + 2 * p, c), dtype=dtype) if p else None
+        buf = (np.zeros((min(n, b), h + 2 * p, wd + 2 * p, c), dtype=dtype)
+               if p or staged else None)
         cols = np.empty(min(n, b) * sample, dtype=dtype)
         return [(s, min(s + n, b)) for s in range(0, b, n)], buf, cols
 
-    def _padded(self, x, buf, s, e):
-        """Samples s:e of x as the kernels see them: for 'same' padding
-        copied into the interior of buf's first e - s samples, whose border
-        stays zero; for 'valid' x[s:e] itself."""
+    def _padded(self, src, buf, s, e):
+        """Samples s:e of the input as the kernels see them. From an array:
+        for 'same' padding copied into the interior of buf's first e - s
+        samples, whose border stays zero; for 'valid' src[s:e] itself. From
+        the BatchNorm of a stage: its ReLU'd output written into that
+        interior (see ``BatchNorm.activate``)."""
         p = self.pad
+        if isinstance(src, BatchNorm):
+            xs = buf[: e - s]
+            src.activate(s, e, xs[:, p : xs.shape[1] - p, p : xs.shape[2] - p])
+            return xs
         if not p:
-            return x[s:e]
-        buf[: e - s, p:-p, p:-p] = x[s:e]
+            return src[s:e]
+        buf[: e - s, p:-p, p:-p] = src[s:e]
         return buf[: e - s]
 
     @staticmethod
@@ -250,20 +266,38 @@ class Conv2d(Layer):
         np.copyto(rows.reshape(windows.shape), windows)
         return rows
 
-    def forward(self, x, train):
+    def _check_input(self, shape):
         w = self.weight.value
-        if x.ndim != 4 or x.shape[3] != w.shape[1]:
+        if len(shape) != 4 or shape[3] != w.shape[1]:
             raise ValueError(
-                f"{self.weight.name}: input shape {x.shape} incompatible with "
+                f"{self.weight.name}: input shape {shape} incompatible with "
                 f"weight shape {w.shape}"
             )
+
+    def forward(self, x, train):
+        self._check_input(x.shape)
+        return self._forward(x, x.shape, x.dtype, train)
+
+    def stage_forward(self, bn, xhat):
+        """Training forward of a BatchNorm -> ReLU -> conv stage whose
+        BatchNorm ``bn`` has just normalized its input to ``xhat`` (see
+        ``BatchNorm.normalize``). The conv's input, max(xhat * gamma + beta,
+        0), is written into each slice's buffer from bn's cache, with the
+        bits of the three layers' own forwards, so no input array exists;
+        the conv caches bn instead, and its backward also does the ReLU's."""
+        self._check_input(xhat.shape)
+        return self._forward(bn, xhat.shape, np.result_type(xhat, bn.gamma.value), True)
+
+    def _forward(self, src, shape, in_dtype, train):
+        w = self.weight.value
         f, _, kh, kw = w.shape
         q, p = self.pool_size, self.pad
-        b, h, wd, _ = x.shape
+        b, h, wd, _ = shape
         ho, wo = h + 2 * p - kh + 1, wd + 2 * p - kw + 1
-        slices, buf, cols = self._slices(x.shape, x.dtype)
+        staged = isinstance(src, BatchNorm)
+        slices, buf, cols = self._slices(shape, in_dtype, staged)
         w_mat = w.transpose(2, 3, 1, 0).reshape(-1, f)
-        dtype = np.result_type(x, w)
+        dtype = np.result_type(in_dtype, w)
         # The bias is added over rows of wo * F values, not rows of F: the
         # same elementwise sums without numpy's per-row overhead.
         bias_row = _widen(self.bias.value, wo)
@@ -275,7 +309,8 @@ class Conv2d(Layer):
             offsets = pool_offsets(out.shape, q) if train else None
             conv = np.empty((slices[0][1] * ho * wo, f), dtype=dtype)
         for s, e in slices:
-            rows = self._columns(self._padded(x, buf, s, e), kh, kw, cols)
+            xs = self._padded(src, buf, s, e)
+            rows = self._columns(xs, kh, kw, cols)
             part = conv[s * ho * wo : e * ho * wo] if q == 1 else conv[: (e - s) * ho * wo]
             np.matmul(rows, w_mat, out=part)
             part.reshape((e - s) * ho, -1)[...] += bias_row
@@ -283,22 +318,30 @@ class Conv2d(Layer):
                 max_pool(part.reshape(e - s, ho, wo, f), q, out[s:e],
                          None if offsets is None else offsets[s:e])
         if train:
-            # One slice keeps its columns, and backward needs only the input's
-            # shape besides; more slices keep the caller's input.
-            kept = (None, rows) if len(slices) == 1 else (x, None)
-            self._cache = (x.shape, *kept, offsets)
+            # One slice keeps its columns, with a stage's ReLU mask beside
+            # them, and backward needs only the input's shape and dtype
+            # besides; more slices keep what backward refills each slice
+            # from: the caller's input, or a stage's BatchNorm.
+            if len(slices) > 1:
+                self._cache = (shape, in_dtype, src, None, offsets)
+            else:
+                mask = xs[:, p : p + h, p : p + wd] > 0 if staged else None
+                self._cache = (shape, in_dtype, None, (rows, mask), offsets)
         return out.reshape(b, ho, wo, f) if q == 1 else out
 
     def backward(self, grad):
-        shape, x, kept, offsets = self._take_cache()
+        shape, in_dtype, src, kept, offsets = self._take_cache()
         w = self.weight.value
         f, c, kh, kw = w.shape
         q, p = self.pool_size, self.pad
         b, h, wd, _ = shape
         ho, wo = h + 2 * p - kh + 1, wd + 2 * p - kw + 1
         if kept is None:
-            slices, buf, cols = self._slices(shape, x.dtype)
+            staged = isinstance(src, BatchNorm)
+            slices, buf, cols = self._slices(shape, in_dtype, staged)
         else:
+            rows, mask = kept
+            staged = mask is not None
             slices = [(0, b)]
         n = slices[0][1]
         # The gradient of the unpooled output. A pooled conv with F >= 2
@@ -316,10 +359,14 @@ class Conv2d(Layer):
         else:
             g_buf = np.empty((1 + n * ho * wo, f), dtype=grad.dtype)
         # Each slice's input gradient is summed in a zeroed padded slice,
-        # whose interior is copied into dx; one slice returns that interior.
+        # whose interior is copied into dx; one slice of a plain conv
+        # returns that interior.
         acc = np.zeros((n, h + 2 * p, wd + 2 * p, c), dtype=grad.dtype)
         interior = (slice(None), slice(p, p + h), slice(p, p + wd))
-        dx = acc[interior] if len(slices) == 1 else np.empty(shape, dtype=grad.dtype)
+        if len(slices) == 1 and not staged:
+            dx = acc[interior]
+        else:
+            dx = np.empty(shape, dtype=grad.dtype)
         for s, e in slices:
             if per_slice:
                 g = g_buf[1 : 1 + (e - s) * ho * wo]
@@ -332,9 +379,8 @@ class Conv2d(Layer):
             else:
                 g = g_mat[s * ho * wo : e * ho * wo]
             if kept is None:
-                rows = self._columns(self._padded(x, buf, s, e), kh, kw, cols)
-            else:
-                rows = kept
+                xs = self._padded(src, buf, s, e)
+                rows = self._columns(xs, kh, kw, cols)
             # Weight gradient as rows.T @ g on the general column layout and
             # g.T @ rows on the transposed one-channel one: both give the bits
             # of g.T @ rows on the general layout at desk (k=3) and paper (k=5)
@@ -357,7 +403,14 @@ class Conv2d(Layer):
                 for j in range(kw):
                     d[:, i : i + ho, j : j + wo, :] += (
                         (g @ w[:, :, i, j]).reshape(e - s, ho, wo, c))
-            if len(slices) > 1:
+            if staged:
+                # The stage's ReLU gradient, grad * (xhat * gamma + beta > 0):
+                # max(y, 0) > 0 exactly where y > 0, NaN included, so a
+                # refilled slice gives the ReLU's mask.
+                if kept is None:
+                    mask = xs[interior] > 0
+                np.multiply(d[interior], mask, out=dx[s:e])
+            elif len(slices) > 1:
                 dx[s:e] = d[interior]
         # einsum sums each column row after row, like sum(axis=0) on F >= 2
         # columns but without its per-row overhead. A single column is one
@@ -403,9 +456,12 @@ class BatchNorm(Layer):
     per-channel vector is widened to one row of H * W * C values and applied
     to the input viewed as (batch, H * W * C), into temporaries reused in
     place: a training forward holds two arrays (x-hat and the output), an
-    inference forward one and backward two. Every elementwise op keeps its
-    operands and order, so the bits are those of plain broadcasts over the
-    channel axis.
+    inference forward one, and backward one at a time besides x-hat, into
+    which it writes its last product (rounded to x-hat's dtype, should the
+    gradient have another). Every elementwise op keeps its operands and
+    order, so the bits are those of plain broadcasts over the channel axis.
+    In a pre-activation stage, training stops at ``normalize`` and the conv
+    reads its input through ``activate``.
     """
 
     kind = "batchnorm"
@@ -418,30 +474,55 @@ class BatchNorm(Layer):
         self.running_mean = np.zeros(channels, dtype)
         self.running_var = np.ones(channels, dtype)
 
-    def forward(self, x, train):
+    def _check_input(self, x):
         if x.ndim != 4 or x.shape[3] != self.gamma.value.size:
             raise ValueError(
                 f"{self.gamma.name}: input shape {x.shape} incompatible with "
                 f"{self.gamma.value.size} channels"
             )
+
+    def normalize(self, x):
+        """The statistics half of a training forward: update the running
+        statistics and cache x-hat (shaped as x, which it returns) and the
+        inverse deviation for backward. A pre-activation stage stops here
+        and reads its input from the cache (see ``activate``)."""
+        self._check_input(x)
         b, h, w, c = x.shape
         pixels = h * w
-        rows = x.reshape(b, pixels * c)
+        mean = _channel_mean(x)
+        xhat = x.reshape(b, pixels * c) - _widen(mean.astype(x.dtype), pixels)
+        var = _channel_mean(np.square(xhat).reshape(x.shape))
+        ivar = (1.0 / np.sqrt(var + self.eps)).astype(x.dtype)
+        xhat *= _widen(ivar, pixels)
+        xhat = xhat.reshape(x.shape)
+        self._cache = (xhat, ivar)
+        m = self.momentum
+        self.running_mean = (m * self.running_mean + (1 - m) * mean).astype(x.dtype)
+        self.running_var = (m * self.running_var + (1 - m) * var).astype(x.dtype)
+        return xhat
+
+    def activate(self, s, e, out):
+        """Write the ReLU of samples s:e of the last training output,
+        max(x-hat * gamma + beta, 0), into ``out``: an NHWC view of e - s
+        samples, which may be a padded buffer's interior. The cache stays for
+        backward. Each op is the forward's or the ReLU's, over rows of W * C
+        values, so the bits are those of the two layers' forwards."""
+        xhat, _ = self._cache
+        _, _, w, c = out.shape
+        np.multiply(xhat[s:e], _widen(self.gamma.value, w).reshape(-1, c), out=out)
+        out += _widen(self.beta.value, w).reshape(-1, c)
+        return np.maximum(out, 0, out=out)
+
+    def forward(self, x, train):
+        self._check_input(x)
+        b, h, w, c = x.shape
+        pixels = h * w
         if train:
-            mean = _channel_mean(x)
-            xhat = rows - _widen(mean.astype(x.dtype), pixels)
-            out = np.square(xhat)
-            var = _channel_mean(out.reshape(x.shape))
-            ivar = (1.0 / np.sqrt(var + self.eps)).astype(x.dtype)
-            xhat *= _widen(ivar, pixels)
-            self._cache = (xhat, ivar)
-            m = self.momentum
-            self.running_mean = (m * self.running_mean + (1 - m) * mean).astype(x.dtype)
-            self.running_var = (m * self.running_var + (1 - m) * var).astype(x.dtype)
-            np.multiply(xhat, _widen(self.gamma.value, pixels), out=out)
+            rows = self.normalize(x).reshape(b, pixels * c)
+            out = np.multiply(rows, _widen(self.gamma.value, pixels))
         else:
             ivar = 1.0 / np.sqrt(self.running_var + self.eps)
-            out = rows - _widen(self.running_mean, pixels)
+            out = x.reshape(b, pixels * c) - _widen(self.running_mean, pixels)
             out *= _widen(ivar, pixels)
             out *= _widen(self.gamma.value, pixels)
         out += _widen(self.beta.value, pixels)
@@ -453,16 +534,17 @@ class BatchNorm(Layer):
         pixels = h * w
         dt = grad.dtype
         rows = grad.reshape(b, pixels * c)
+        xhat = xhat.reshape(b, pixels * c)
         g_mean = _channel_mean(grad)
-        tmp = rows * xhat
-        gx_mean = _channel_mean(tmp.reshape(grad.shape))
+        gx_mean = _channel_mean((rows * xhat).reshape(grad.shape))
         n = b * pixels
         self.gamma.grad += n * gx_mean
         self.beta.grad += n * g_mean
         # Standard batch-norm input gradient through the batch moments, with
-        # dxhat = gamma * grad folded into one per-channel scale.
+        # dxhat = gamma * grad folded into one per-channel scale. x-hat is
+        # not read again, so its product goes into it.
         dx = rows - _widen(g_mean.astype(dt), pixels)
-        dx -= np.multiply(xhat, _widen(gx_mean.astype(dt), pixels), out=tmp)
+        dx -= np.multiply(xhat, _widen(gx_mean.astype(dt), pixels), out=xhat)
         dx *= _widen(self.gamma.value * ivar, pixels)
         return dx.reshape(grad.shape)
 
@@ -478,6 +560,9 @@ class BatchNorm(Layer):
 
 
 class ReLU(Layer):
+    """max(x, 0). In a Network's pre-activation stage the conv after it does
+    its work (see ``Conv2d.stage_forward``), and it caches nothing."""
+
     kind = "relu"
 
     def forward(self, x, train):
@@ -553,21 +638,56 @@ class Network:
 
     Inputs and input gradients are (N, C, H, W); the layers run on the
     channels-last view, which costs nothing for the single-channel log-mel
-    patches.
+    patches. Inference runs each layer's forward in turn. Training runs each
+    BatchNorm, ReLU, Conv2d in a row as one stage (``BatchNorm.normalize``,
+    then ``Conv2d.stage_forward``; backward through the conv, then the
+    BatchNorm) with the bits of the three layers' own passes, and any other
+    layer through its forward and backward.
     """
 
     def __init__(self, layers: list[Layer]):
         self.layers = layers
 
+    def _runs(self) -> list[tuple[Layer, ...]]:
+        """The layers as a training step runs them: each BatchNorm, ReLU,
+        Conv2d in a row as one pre-activation stage, any other layer alone."""
+        runs, i = [], 0
+        while i < len(self.layers):
+            run = tuple(self.layers[i : i + 3])
+            if len(run) < 3 or not all(map(isinstance, run, (BatchNorm, ReLU, Conv2d))):
+                run = run[:1]
+            runs.append(run)
+            i += len(run)
+        return runs
+
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         x = np.moveaxis(x, 1, -1)
-        for layer in self.layers:
-            x = layer.forward(x, train)
+        if not train:
+            for layer in self.layers:
+                x = layer.forward(x, False)
+            return x
+        # A stage's BatchNorm stops at x-hat and its conv reads the ReLU'd
+        # output from it slice by slice (see Conv2d.stage_forward). Each
+        # array is rebound as soon as it is read, so the stage's input is
+        # freed before the conv runs, and in backward the conv's output
+        # gradient before the BatchNorm's.
+        for run in self._runs():
+            if len(run) == 3:
+                bn, _, conv = run
+                x = bn.normalize(x)
+                x = conv.stage_forward(bn, x)
+            else:
+                x = run[0].forward(x, True)
         return x
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
+        for run in reversed(self._runs()):
+            if len(run) == 3:
+                bn, _, conv = run
+                grad = conv.backward(grad)  # masked as the ReLU's backward would
+                grad = bn.backward(grad)
+            else:
+                grad = run[0].backward(grad)
         return np.moveaxis(grad, -1, 1)
 
     def params(self) -> list[Param]:

@@ -218,6 +218,11 @@ def inject_noise(
             new_clip = AudioClip(_mix(clip.samples, d.samples), clip.sample_rate, rec.clip_id)
             sources = (d.clip_id,)
         elif noise_type is NoiseType.INCORRECT_IV:
+            if n_classes < 2:
+                raise DataError(
+                    f"record {rec.clip_id!r}: no different class available for an "
+                    "incorrect in-vocabulary label"
+                )
             shifted = int(rng.integers(n_classes - 1))
             new_label = shifted + 1 if shifted >= rec.class_index else shifted
             new_rec = replace(rec, class_index=new_label)

@@ -883,6 +883,20 @@ class TestInjectNoise:
         path, _ = base_config(tmp_path)
         assert main(["inject-noise", "--config", str(path)]) == 1
 
+    def test_one_label_manifest_with_incorrect_iv_is_a_data_error(self, on_disk_dataset,
+                                                                  capsys):
+        path, cfg, out = on_disk_dataset
+        manifest = out / "manifest.csv"
+        manifest.write_text(manifest.read_text(encoding="utf-8").replace("class_01", "class_00"),
+                            encoding="utf-8")
+        cfg["noise"] = {"p_incorrect_iv": 1.0, "seed": 3}
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["inject-noise", "--config", str(path),
+                     "--output", str(out.parent / "inj")]) == 2
+        err = capsys.readouterr().err
+        assert "no different class available for an incorrect in-vocabulary label" in err
+
 
 class TestRun:
     def test_two_cells_two_reports(self, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Noise injector semantics, provenance, and the distribution report."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,14 @@ class TestInjectNoise:
             assert out.class_index != rec.class_index
             assert 0 <= out.class_index < 4
             assert entry.original_label == rec.class_index
+
+    @pytest.mark.parametrize("noise", ["p_incorrect_iv", "p_incomplete_iv"])
+    def test_one_class_has_no_other_label_to_draw(self, noisy_inputs, noise):
+        clips, records, pool = noisy_inputs
+        one_class = [replace(r, class_index=0) for r in records]
+        spec = NoiseSpec(**{noise: 1.0}, seed=9)
+        with pytest.raises(DataError, match=rf"record {records[0].clip_id!r}: no "):
+            inject_noise(clips, one_class, spec, pool, 1)
 
     def test_mixing_keeps_duration_and_stays_in_range(self, noisy_inputs):
         clips, records, pool = noisy_inputs
