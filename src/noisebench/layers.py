@@ -9,11 +9,13 @@ reshape for single-channel log-mel patches. Parameters keep a layout-free
 shape: conv weights are (out, in, kh, kw) and ``Dense`` flattens its input
 in (channels, height, width) order, so checkpoints do not depend on the
 activation layout. A training forward caches what the layer's backward
-needs, referring to arrays it was handed rather than copying them (a conv
-keeps its caller's input, never a padded copy), and that backward takes
-the cache and drops it, so a layer holds it only between the two; backward
-returns the input gradient and accumulates parameter gradients in place.
-A ``Network`` trains each BatchNorm, ReLU, Conv2d in a row as one
+needs, referring to arrays it was handed rather than copying them, and
+that backward takes the cache and drops it, so a layer holds it only
+between the two; backward returns the input gradient and accumulates
+parameter gradients in place. A ``Conv2d`` runs every pass as one loop
+over batch slices: each slice is padded into a buffer of one slice,
+lowered to im2col columns and max-pooled (by one when unpooled) before the
+next. A ``Network`` trains each BatchNorm, ReLU, Conv2d in a row as one
 pre-activation stage: the BatchNorm caches x-hat and makes no output, and
 the conv computes its input from that cache one batch slice at a time, so
 neither the ReLU nor the conv caches an input (see ``Conv2d.stage_forward``).
@@ -22,6 +24,7 @@ neither the ReLU nor the conv caches an input (see ``Conv2d.stage_forward``).
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -108,8 +111,8 @@ def _windows(x_pad: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return sliding_window_view(x_pad, (kh, kw), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
 
 
-# Non-overlapping s x s max pooling of NHWC arrays, which a Conv2d with
-# pool_size > 1 runs on each batch slice of its output.
+# Non-overlapping s x s max pooling of NHWC arrays, which every Conv2d runs
+# on each batch slice of its output (size 1 keeps every element).
 # Trailing rows and columns that do not fill a window are dropped. The
 # gradient of each window goes to its first maximum in row-major window
 # order; training keeps that maximum's offset in the window, one byte per
@@ -173,25 +176,24 @@ def max_unpool(offsets: np.ndarray, grad: np.ndarray, s: int, out: np.ndarray) -
 
 class Conv2d(Layer):
     """Stride-1 cross-correlation with zero 'same' or 'valid' padding,
-    computed as im2col matrix products over batch slices of at most
-    COLS_BYTES of columns (see ``samples_per_slice``), then, with
-    pool_size > 1, max-pooled (see ``max_pool``). 'same' padding copies
-    each slice into a zeroed padded buffer of one slice just before its
-    columns are built, so no padded copy of the whole batch is made.
+    max-pooled by ``pool_size`` (see ``max_pool``; a size of 1 keeps every
+    output). Every pass runs one loop over batch slices of at most
+    COLS_BYTES of columns (see ``samples_per_slice``). Each slice's input is
+    written into the interior of a zeroed padded buffer of one slice, its
+    im2col columns are built from that buffer, and its full-resolution
+    output is computed and pooled before the next slice's, so no padded
+    copy, column matrix or unpooled output of the whole batch is made.
     Training caches the pool's offsets and, when the batch is one slice,
-    its columns; otherwise it refers to the caller's input array, as
-    'valid' padding always did, and backward pads and lowers each slice
-    again. Backward sums each slice's input gradient in a zeroed padded
-    slice and copies its interior into the unpadded input gradient. In a
-    pre-activation stage (``stage_forward``) the conv caches no input: each
-    slice's buffer, 'valid' too, is filled with the stage's ReLU'd
-    BatchNorm output from the BatchNorm's cache, and again in backward,
-    which also applies the ReLU's mask; one slice keeps that mask, one byte
-    an input element, beside its columns. A pooled conv holds its
-    full-resolution output and gradient one slice at a time, with the bits
-    of pooling a plain conv's whole output. A one-channel input lays its
-    columns out transposed (see ``_columns``). Weights are stored (out, in,
-    kh, kw) whatever the activation layout."""
+    its columns; otherwise it keeps what backward refills each slice's
+    buffer from: the caller's input array, or in a pre-activation stage
+    (``stage_forward``) the BatchNorm whose ReLU'd output fills it.
+    Backward unpools each slice's output gradient, sums its input gradient
+    in a zeroed padded slice and writes that slice's interior into the
+    input gradient, masked by the stage's ReLU where there is one; one
+    slice keeps that mask, one byte an input element, beside its columns.
+    A one-channel input lays its columns out transposed (see
+    ``_columns``). Weights are stored (out, in, kh, kw) whatever the
+    activation layout."""
 
     kind = "conv2d"
 
@@ -214,35 +216,38 @@ class Conv2d(Layer):
         self.bias = Param(f"{name}.bias", np.zeros(out_channels, dtype),
                           np.zeros(out_channels, dtype))
 
-    def _slices(self, shape, dtype, staged):
+    def _lowered(self, h, w):
+        """The unpooled output height and width of an h x w input, and the
+        column elements one sample of it builds: ho * wo * kh * kw * C."""
+        _, c, kh, kw = self.weight.value.shape
+        ho, wo = h + 2 * self.pad - kh + 1, w + 2 * self.pad - kw + 1
+        return ho, wo, ho * wo * kh * kw * c
+
+    def _slices(self, shape, dtype):
         """The (start, stop) batch ranges of the slices of an NHWC input
-        ``shape``, and a zeroed padded input buffer ('same' or ``staged``)
-        and an empty column buffer, each for one slice."""
+        ``shape``, and a zeroed padded input buffer and an empty column
+        buffer, each for one slice."""
         b, h, wd, c = shape
-        _, _, kh, kw = self.weight.value.shape
         p = self.pad
-        sample = (h + 2 * p - kh + 1) * (wd + 2 * p - kw + 1) * kh * kw * c
+        sample = self._lowered(h, wd)[2]
         n = samples_per_slice(sample * np.dtype(dtype).itemsize, b)
-        buf = (np.zeros((min(n, b), h + 2 * p, wd + 2 * p, c), dtype=dtype)
-               if p or staged else None)
+        buf = np.zeros((min(n, b), h + 2 * p, wd + 2 * p, c), dtype=dtype)
         cols = np.empty(min(n, b) * sample, dtype=dtype)
         return [(s, min(s + n, b)) for s in range(0, b, n)], buf, cols
 
     def _padded(self, src, buf, s, e):
-        """Samples s:e of the input as the kernels see them. From an array:
-        for 'same' padding copied into the interior of buf's first e - s
-        samples, whose border stays zero; for 'valid' src[s:e] itself. From
-        the BatchNorm of a stage: its ReLU'd output written into that
-        interior (see ``BatchNorm.activate``)."""
+        """Samples s:e of the input written into the interior of buf's first
+        e - s samples, whose border stays zero, and returned padded: copied
+        from an array, or from the BatchNorm of a stage its ReLU'd output
+        (see ``BatchNorm.activate``)."""
         p = self.pad
+        xs = buf[: e - s]
+        interior = xs[:, p : xs.shape[1] - p, p : xs.shape[2] - p]
         if isinstance(src, BatchNorm):
-            xs = buf[: e - s]
-            src.activate(s, e, xs[:, p : xs.shape[1] - p, p : xs.shape[2] - p])
-            return xs
-        if not p:
-            return src[s:e]
-        buf[: e - s, p:-p, p:-p] = src[s:e]
-        return buf[: e - s]
+            src.activate(s, e, interior)
+        else:
+            interior[...] = src[s:e]
+        return xs
 
     @staticmethod
     def _columns(xs, kh, kw, cols):
@@ -293,30 +298,24 @@ class Conv2d(Layer):
         f, _, kh, kw = w.shape
         q, p = self.pool_size, self.pad
         b, h, wd, _ = shape
-        ho, wo = h + 2 * p - kh + 1, wd + 2 * p - kw + 1
-        staged = isinstance(src, BatchNorm)
-        slices, buf, cols = self._slices(shape, in_dtype, staged)
+        ho, wo, _ = self._lowered(h, wd)
+        slices, buf, cols = self._slices(shape, in_dtype)
         w_mat = w.transpose(2, 3, 1, 0).reshape(-1, f)
         dtype = np.result_type(in_dtype, w)
         # The bias is added over rows of wo * F values, not rows of F: the
         # same elementwise sums without numpy's per-row overhead.
         bias_row = _widen(self.bias.value, wo)
-        offsets = None
-        if q == 1:
-            conv = out = np.empty((b * ho * wo, f), dtype=dtype)
-        else:
-            out = np.empty(pooled_shape((b, ho, wo, f), q, self.weight.name), dtype=dtype)
-            offsets = pool_offsets(out.shape, q) if train else None
-            conv = np.empty((slices[0][1] * ho * wo, f), dtype=dtype)
+        out = np.empty(pooled_shape((b, ho, wo, f), q, self.weight.name), dtype=dtype)
+        offsets = pool_offsets(out.shape, q) if train else None
+        conv = np.empty((slices[0][1] * ho * wo, f), dtype=dtype)
         for s, e in slices:
             xs = self._padded(src, buf, s, e)
             rows = self._columns(xs, kh, kw, cols)
-            part = conv[s * ho * wo : e * ho * wo] if q == 1 else conv[: (e - s) * ho * wo]
+            part = conv[: (e - s) * ho * wo]
             np.matmul(rows, w_mat, out=part)
             part.reshape((e - s) * ho, -1)[...] += bias_row
-            if q > 1:
-                max_pool(part.reshape(e - s, ho, wo, f), q, out[s:e],
-                         None if offsets is None else offsets[s:e])
+            max_pool(part.reshape(e - s, ho, wo, f), q, out[s:e],
+                     None if offsets is None else offsets[s:e])
         if train:
             # One slice keeps its columns, with a stage's ReLU mask beside
             # them, and backward needs only the input's shape and dtype
@@ -325,9 +324,9 @@ class Conv2d(Layer):
             if len(slices) > 1:
                 self._cache = (shape, in_dtype, src, None, offsets)
             else:
-                mask = xs[:, p : p + h, p : p + wd] > 0 if staged else None
+                mask = xs[:, p : p + h, p : p + wd] > 0 if isinstance(src, BatchNorm) else None
                 self._cache = (shape, in_dtype, None, (rows, mask), offsets)
-        return out.reshape(b, ho, wo, f) if q == 1 else out
+        return out
 
     def backward(self, grad):
         shape, in_dtype, src, kept, offsets = self._take_cache()
@@ -335,52 +334,49 @@ class Conv2d(Layer):
         f, c, kh, kw = w.shape
         q, p = self.pool_size, self.pad
         b, h, wd, _ = shape
-        ho, wo = h + 2 * p - kh + 1, wd + 2 * p - kw + 1
+        ho, wo, _ = self._lowered(h, wd)
         if kept is None:
-            staged = isinstance(src, BatchNorm)
-            slices, buf, cols = self._slices(shape, in_dtype, staged)
+            slices, buf, cols = self._slices(shape, in_dtype)
+            mask = None
         else:
-            rows, mask = kept
-            staged = mask is not None
-            slices = [(0, b)]
+            (rows, mask), slices = kept, [(0, b)]
         n = slices[0][1]
-        # The gradient of the unpooled output. A pooled conv with F >= 2
-        # filters unpools one slice at a time into g_buf's rows 1 onwards,
-        # and row 0 carries the bias sum so far into the next slice's einsum:
-        # einsum sums each column row after row (see below), so this gives
-        # the bits of one einsum over all rows. One filter's column is
-        # summed whole, so it is unpooled for the whole batch.
-        per_slice = q > 1 and f > 1
-        if q == 1:
-            g_mat = grad.reshape(b * ho * wo, f)
-        elif not per_slice:
+        # The gradient of the unpooled output and its bias sum. einsum sums
+        # each column row after row, like sum(axis=0) on F >= 2 columns but
+        # without its per-row overhead. So with F >= 2 filters the gradient
+        # is unpooled one slice at a time into g_buf's rows 1 onwards, and
+        # row 0 carries the sum so far into the next slice's einsum, which
+        # gives the bits of one einsum over all rows. A single column is one
+        # contiguous run, which sum() adds pairwise: einsum would round it
+        # differently, and so would summing it slice by slice, so one
+        # filter's gradient is unpooled and summed for the whole batch.
+        if f > 1:
+            g_buf = np.empty((1 + n * ho * wo, f), dtype=grad.dtype)
+        else:
             g_mat = max_unpool(offsets, grad, q, np.empty((b, ho, wo, f), dtype=grad.dtype))
             g_mat = g_mat.reshape(b * ho * wo, f)
-        else:
-            g_buf = np.empty((1 + n * ho * wo, f), dtype=grad.dtype)
+            bias_grad = g_mat.sum(axis=0)
         # Each slice's input gradient is summed in a zeroed padded slice,
-        # whose interior is copied into dx; one slice of a plain conv
-        # returns that interior.
+        # whose interior is written into dx.
         acc = np.zeros((n, h + 2 * p, wd + 2 * p, c), dtype=grad.dtype)
         interior = (slice(None), slice(p, p + h), slice(p, p + wd))
-        if len(slices) == 1 and not staged:
-            dx = acc[interior]
-        else:
-            dx = np.empty(shape, dtype=grad.dtype)
+        dx = np.empty(shape, dtype=grad.dtype)
         for s, e in slices:
-            if per_slice:
+            if f > 1:
                 g = g_buf[1 : 1 + (e - s) * ho * wo]
                 max_unpool(offsets[s:e], grad[s:e], q, g.reshape(e - s, ho, wo, f))
-                if s == 0:
-                    bias_grad = np.einsum("ij->j", g)
-                else:
+                if s:
                     g_buf[0] = bias_grad
-                    bias_grad = np.einsum("ij->j", g_buf[: 1 + len(g)])
+                bias_grad = np.einsum("ij->j", g_buf[0 if s else 1 : 1 + len(g)])
             else:
                 g = g_mat[s * ho * wo : e * ho * wo]
             if kept is None:
                 xs = self._padded(src, buf, s, e)
                 rows = self._columns(xs, kh, kw, cols)
+                if isinstance(src, BatchNorm):
+                    # The stage's ReLU mask: max(y, 0) > 0 exactly where
+                    # y > 0, NaN included, so a refilled slice gives it.
+                    mask = xs[interior] > 0
             # Weight gradient as rows.T @ g on the general column layout and
             # g.T @ rows on the transposed one-channel one: both give the bits
             # of g.T @ rows on the general layout at desk (k=3) and paper (k=5)
@@ -403,21 +399,10 @@ class Conv2d(Layer):
                 for j in range(kw):
                     d[:, i : i + ho, j : j + wo, :] += (
                         (g @ w[:, :, i, j]).reshape(e - s, ho, wo, c))
-            if staged:
-                # The stage's ReLU gradient, grad * (xhat * gamma + beta > 0):
-                # max(y, 0) > 0 exactly where y > 0, NaN included, so a
-                # refilled slice gives the ReLU's mask.
-                if kept is None:
-                    mask = xs[interior] > 0
-                np.multiply(d[interior], mask, out=dx[s:e])
-            elif len(slices) > 1:
+            if mask is None:
                 dx[s:e] = d[interior]
-        # einsum sums each column row after row, like sum(axis=0) on F >= 2
-        # columns but without its per-row overhead. A single column is one
-        # contiguous run, which sum() adds pairwise: einsum would round it
-        # differently, and so would summing it slice by slice.
-        if not per_slice:
-            bias_grad = np.einsum("ij->j", g_mat) if f > 1 else g_mat.sum(axis=0)
+            else:  # the stage's ReLU gradient, grad * (xhat * gamma + beta > 0)
+                np.multiply(d[interior], mask, out=dx[s:e])
         self.bias.grad += bias_grad
         return dx
 
@@ -467,6 +452,10 @@ class BatchNorm(Layer):
     kind = "batchnorm"
 
     def __init__(self, channels, eps=1e-5, momentum=0.9, dtype=np.float32, name="bn"):
+        if type(eps) not in (int, float) or not 0 < eps < math.inf:
+            raise ConfigError(f"batchnorm eps must be a finite number > 0, got {eps!r}")
+        if type(momentum) not in (int, float) or not 0 <= momentum <= 1:
+            raise ConfigError(f"batchnorm momentum must be a number in [0, 1], got {momentum!r}")
         self.eps = eps
         self.momentum = momentum
         self.gamma = Param(f"{name}.gamma", np.ones(channels, dtype), np.zeros(channels, dtype))
@@ -714,9 +703,8 @@ def im2col_bytes(layers: list[Layer], height: int, width: int, itemsize: int) ->
     peak = 0
     for layer in layers:
         if isinstance(layer, Conv2d):
-            _, c, k, _ = layer.weight.value.shape
-            height, width = height + 2 * layer.pad - k + 1, width + 2 * layer.pad - k + 1
-            peak = max(peak, height * width * k * k * c * itemsize)
+            height, width, sample = layer._lowered(height, width)
+            peak = max(peak, sample * itemsize)
             height, width = height // layer.pool_size, width // layer.pool_size
     return peak
 
@@ -727,12 +715,11 @@ def build_baseline(
     n_classes: int,
     channels: tuple[int, int, int] = (32, 64, 128),
     kernel_size: int = 5,
-    pool_size: int = 2,
     seed: int = 0,
     dtype=np.float32,
 ) -> Network:
-    """Three pre-activation conv stages (BN, ReLU, Conv with max pooling)
-    feeding a dense softmax classifier.
+    """Three pre-activation conv stages (BN, ReLU, Conv with 2x2 max
+    pooling) feeding a dense softmax classifier.
 
     Default widths put the trainable parameter count near half a million for
     96-mel, 86-frame inputs; smaller widths can be passed for quick
@@ -742,11 +729,11 @@ def build_baseline(
         raise ConfigError("n_mels, patch_frames must be >= 1 and n_classes >= 2")
     h, w = n_mels, patch_frames
     for _ in channels:
-        h, w = h // pool_size, w // pool_size
+        h, w = h // 2, w // 2
         if h < 1 or w < 1:
             raise ConfigError(
                 f"input {n_mels}x{patch_frames} too small for {len(channels)} "
-                f"pooling stages of size {pool_size}"
+                "pooling stages of size 2"
             )
     rng = np.random.default_rng(seed)
     layers: list[Layer] = []
@@ -755,7 +742,7 @@ def build_baseline(
         layers.append(BatchNorm(in_ch, dtype=dtype, name=f"bn{i}"))
         layers.append(ReLU())
         layers.append(Conv2d(in_ch, out_ch, kernel_size, "same", rng, dtype, name=f"conv{i}",
-                             pool_size=pool_size))
+                             pool_size=2))
         in_ch = out_ch
     layers.append(Dense(in_ch * h * w, n_classes, rng, dtype, name="dense"))
     layers.append(Softmax())

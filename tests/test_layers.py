@@ -563,6 +563,21 @@ class TestMaxPoolBits:
         assert dx[0, :, :, 0].tolist() == [[0, 0, 1, 0], [0, 0, 0, 0],
                                            [1, 0, 0, 0], [0, 0, 0, 0]]
 
+    @pytest.mark.parametrize("filters", [1, 2])
+    def test_nan_output_of_an_unpooled_conv_routes_no_gradient(self, filters):
+        # An unpooled conv pools by one, so a NaN output is a NaN window of
+        # one element. The NaN still reaches the weight gradient through the
+        # columns, so a training step's gradient stays non-finite.
+        x = np.zeros((1, 2, 2, 1))
+        x[0, 0, 1] = np.nan
+        layer = Conv2d(1, filters, 1, dtype=np.float64)
+        layer.weight.value[...] = 1.0
+        layer.forward(x, train=True)
+        dx = layer.backward(np.ones((1, 2, 2, filters)))
+        assert dx[0, :, :, 0].tolist() == [[filters, 0], [filters, filters]]
+        assert np.isnan(layer.weight.grad).all()
+        assert layer.bias.grad.tolist() == [3] * filters
+
     @pytest.mark.parametrize("size,offset_bytes", [(2, 1), (3, 1), (15, 1), (16, 2)])
     def test_training_cache_holds_one_offset_per_output(self, size, offset_bytes):
         x = np.random.default_rng(size).standard_normal((2, 2 * size + 1, 3 * size, 3))
@@ -1271,9 +1286,16 @@ class TestCheckpoint:
         lambda h: unfold_pool(h, 2, 0),
         lambda h: unfold_pool(h, 2, -1),
         lambda h: unfold_pool(h, 2, 2.0),
+        lambda h: h["layers"][0].update(eps="1e-5"),
+        lambda h: h["layers"][0].update(eps=-1.0),
+        lambda h: h["layers"][0].update(eps=0),
+        lambda h: h["layers"][0].update(momentum=2.0),
+        lambda h: h["layers"][0].update(momentum=-0.1),
     ], ids=["layer-missing-a-key", "layer-missing-a-default", "no-extra", "unknown-kind", "bad-padding",
             "pool-size-below-one", "pool-size-not-an-integer", "legacy-maxpool-size-0",
-            "legacy-maxpool-size-minus-1", "legacy-maxpool-size-not-an-integer"])
+            "legacy-maxpool-size-minus-1", "legacy-maxpool-size-not-an-integer",
+            "batchnorm-eps-a-string", "batchnorm-eps-negative", "batchnorm-eps-zero",
+            "batchnorm-momentum-above-one", "batchnorm-momentum-negative"])
     def test_malformed_header_is_a_data_error(self, tmp_path, edit):
         path, data = self.saved(tmp_path)
         self.rewrite_header(path, data, edit)
