@@ -51,6 +51,8 @@ def read_wav(path: str | Path, clip_id: str | None = None) -> AudioClip:
         raise DataError(f"{path}: expected mono audio, got {n_channels} channels")
     if samp_width != 2:
         raise DataError(f"{path}: expected 16-bit PCM, got sample width {samp_width}")
+    if sample_rate <= 0:
+        raise DataError(f"{path}: sample rate {sample_rate} is not positive")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float32)
     samples /= 32768.0  # a power of two: exact, and no second array
     if samples.size == 0:
@@ -73,6 +75,9 @@ def wav_duration(path: str | Path) -> float:
     """Duration in seconds read from the WAV header only."""
     try:
         with wave.open(str(path), "rb") as wav:
-            return wav.getnframes() / wav.getframerate()
+            frames, sample_rate = wav.getnframes(), wav.getframerate()
     except (wave.Error, EOFError, OSError) as exc:
         raise DataError(f"{path}: not a readable WAV file ({exc})") from exc
+    if sample_rate <= 0:
+        raise DataError(f"{path}: sample rate {sample_rate} is not positive")
+    return frames / sample_rate

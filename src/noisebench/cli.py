@@ -5,7 +5,8 @@ Subcommands: ``synth-data``, ``features``, ``inject-noise``, ``run``,
 ``config.parse_config`` into the dataclasses that own its sections; flags
 override individual keys. All outputs land under the config's
 ``output_dir`` and are deterministic given the config and its seeds. Exit
-codes: 0 success, 1 config error, 2 data error, 3 numeric abort.
+codes: 0 success, 1 config error, 2 data error, 3 numeric abort; a command
+line that does not parse is a config error.
 """
 
 from __future__ import annotations
@@ -246,8 +247,17 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error (a missing or unknown flag, a bad value) as a
+    ConfigError, so it exits 1 like any other bad setting: argparse's own
+    exit code 2 means a data error here. Subcommand parsers share the class."""
+
+    def error(self, message):
+        raise ConfigError(f"{message}\n{self.format_usage().rstrip()}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="noisebench",
         description="Sound event classification under label noise: data, "
                     "features, noise injection, training, reports.",
@@ -276,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         cfg = config_mod.load_config(args.config)

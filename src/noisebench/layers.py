@@ -187,13 +187,13 @@ class Conv2d(Layer):
     its columns; otherwise it keeps what backward refills each slice's
     buffer from: the caller's input array, or in a pre-activation stage
     (``stage_forward``) the BatchNorm whose ReLU'd output fills it.
-    Backward unpools each slice's output gradient, sums its input gradient
-    in a zeroed padded slice and writes that slice's interior into the
-    input gradient, masked by the stage's ReLU where there is one; one
-    slice keeps that mask, one byte an input element, beside its columns.
-    A one-channel input lays its columns out transposed (see
-    ``_columns``). Weights are stored (out, in, kh, kw) whatever the
-    activation layout."""
+    Backward unpools each slice's output gradient, adds the slice's weight
+    and bias gradients to the parameters', sums its input gradient in a
+    zeroed padded slice and writes that slice's interior into the input
+    gradient, masked by the stage's ReLU where there is one; one slice
+    keeps that mask, one byte an input element, beside its columns. A
+    one-channel input lays its columns out transposed (see ``_columns``).
+    Weights are stored (out, in, kh, kw) whatever the activation layout."""
 
     kind = "conv2d"
 
@@ -307,7 +307,7 @@ class Conv2d(Layer):
         bias_row = _widen(self.bias.value, wo)
         out = np.empty(pooled_shape((b, ho, wo, f), q, self.weight.name), dtype=dtype)
         offsets = pool_offsets(out.shape, q) if train else None
-        conv = np.empty((slices[0][1] * ho * wo, f), dtype=dtype)
+        conv = np.empty((len(buf) * ho * wo, f), dtype=dtype)
         for s, e in slices:
             xs = self._padded(src, buf, s, e)
             rows = self._columns(xs, kh, kw, cols)
@@ -319,9 +319,9 @@ class Conv2d(Layer):
         if train:
             # One slice keeps its columns, with a stage's ReLU mask beside
             # them, and backward needs only the input's shape and dtype
-            # besides; more slices keep what backward refills each slice
-            # from: the caller's input, or a stage's BatchNorm.
-            if len(slices) > 1:
+            # besides; any other count keeps what backward refills each
+            # slice from: the caller's input, or a stage's BatchNorm.
+            if len(slices) != 1:
                 self._cache = (shape, in_dtype, src, None, offsets)
             else:
                 mask = xs[:, p : p + h, p : p + wd] > 0 if isinstance(src, BatchNorm) else None
@@ -337,39 +337,19 @@ class Conv2d(Layer):
         ho, wo, _ = self._lowered(h, wd)
         if kept is None:
             slices, buf, cols = self._slices(shape, in_dtype)
-            mask = None
+            n, mask = len(buf), None
         else:
-            (rows, mask), slices = kept, [(0, b)]
-        n = slices[0][1]
-        # The gradient of the unpooled output and its bias sum. einsum sums
-        # each column row after row, like sum(axis=0) on F >= 2 columns but
-        # without its per-row overhead. So with F >= 2 filters the gradient
-        # is unpooled one slice at a time into g_buf's rows 1 onwards, and
-        # row 0 carries the sum so far into the next slice's einsum, which
-        # gives the bits of one einsum over all rows. A single column is one
-        # contiguous run, which sum() adds pairwise: einsum would round it
-        # differently, and so would summing it slice by slice, so one
-        # filter's gradient is unpooled and summed for the whole batch.
-        if f > 1:
-            g_buf = np.empty((1 + n * ho * wo, f), dtype=grad.dtype)
-        else:
-            g_mat = max_unpool(offsets, grad, q, np.empty((b, ho, wo, f), dtype=grad.dtype))
-            g_mat = g_mat.reshape(b * ho * wo, f)
-            bias_grad = g_mat.sum(axis=0)
-        # Each slice's input gradient is summed in a zeroed padded slice,
-        # whose interior is written into dx.
+            (rows, mask), slices, n = kept, [(0, b)], b
+        # Each slice's output gradient is unpooled into g_buf, and its input
+        # gradient summed in a zeroed padded slice, whose interior is written
+        # into dx.
+        g_buf = np.empty((n * ho * wo, f), dtype=grad.dtype)
         acc = np.zeros((n, h + 2 * p, wd + 2 * p, c), dtype=grad.dtype)
         interior = (slice(None), slice(p, p + h), slice(p, p + wd))
         dx = np.empty(shape, dtype=grad.dtype)
         for s, e in slices:
-            if f > 1:
-                g = g_buf[1 : 1 + (e - s) * ho * wo]
-                max_unpool(offsets[s:e], grad[s:e], q, g.reshape(e - s, ho, wo, f))
-                if s:
-                    g_buf[0] = bias_grad
-                bias_grad = np.einsum("ij->j", g_buf[0 if s else 1 : 1 + len(g)])
-            else:
-                g = g_mat[s * ho * wo : e * ho * wo]
+            g = g_buf[: (e - s) * ho * wo]
+            max_unpool(offsets[s:e], grad[s:e], q, g.reshape(e - s, ho, wo, f))
             if kept is None:
                 xs = self._padded(src, buf, s, e)
                 rows = self._columns(xs, kh, kw, cols)
@@ -389,6 +369,11 @@ class Conv2d(Layer):
             else:
                 dw = (rows.T @ g).reshape(kh, kw, c, f).transpose(3, 2, 0, 1)
             self.weight.grad += dw
+            # einsum sums each column row after row, like sum(axis=0) on
+            # F >= 2 columns but without its per-row overhead; one column is
+            # a contiguous run, which sum() adds pairwise and einsum would
+            # round differently.
+            self.bias.grad += np.einsum("ij->j", g) if f > 1 else g.sum(axis=0)
             # Input gradient, one kernel offset at a time: a (rows, C) product
             # added into its shifted window. No (rows, kh*kw*C) gradient matrix
             # is made, and each add runs over contiguous channels-last rows.
@@ -403,7 +388,6 @@ class Conv2d(Layer):
                 dx[s:e] = d[interior]
             else:  # the stage's ReLU gradient, grad * (xhat * gamma + beta > 0)
                 np.multiply(d[interior], mask, out=dx[s:e])
-        self.bias.grad += bias_grad
         return dx
 
     def params(self):
@@ -578,8 +562,9 @@ class Dense(Layer):
     def forward(self, x, train):
         # Flatten in (C, H, W) order, as the weight rows have always been laid
         # out, so checkpoints keep their meaning; a 2-D input passes through.
+        # The width is given, not -1, which numpy cannot infer for no samples.
         nchw = np.moveaxis(x, -1, 1)
-        flat = nchw.reshape(x.shape[0], -1)
+        flat = nchw.reshape(x.shape[0], math.prod(x.shape[1:]))
         if flat.shape[1] != self.weight.value.shape[0]:
             raise ValueError(
                 f"{self.weight.name}: flattened input shape {flat.shape} incompatible "

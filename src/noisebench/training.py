@@ -195,12 +195,12 @@ def _infer(network, x: np.ndarray) -> np.ndarray:
     """Softmax rows of every patch, forwarded in contiguous chunks that each
     conv runs as one slice of ``layers.COLS_BYTES``. Any object with a
     ``forward`` will do; without conv layers to size chunks by, all patches
-    go in one call."""
+    go in one call. No patches go in one empty call, for the (0, K) rows."""
     per_patch = im2col_bytes(getattr(network, "layers", ()), x.shape[2], x.shape[3],
                              x.dtype.itemsize)
     chunk = samples_per_slice(per_patch, len(x))
     return np.concatenate([network.forward(x[i : i + chunk], train=False)
-                           for i in range(0, len(x), chunk)])
+                           for i in range(0, max(len(x), 1), chunk)])
 
 
 def _clip_predictions(patch_probs: np.ndarray, bounds: np.ndarray):

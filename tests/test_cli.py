@@ -385,6 +385,24 @@ class TestHelp:
         assert "--config" in capsys.readouterr().out
 
 
+class TestUsageErrors:
+    """A command line argparse rejects is a config error, exit code 1:
+    argparse's own code 2 is the data-error code here."""
+
+    @pytest.mark.parametrize("argv", [
+        ["features"],
+        ["features", "--config", "c.json", "--bogus"],
+        ["features", "--config", "c.json", "--jobs", "two"],
+        [],
+        ["bogus"],
+    ], ids=["missing-config", "unknown-flag", "bad-jobs", "no-command", "unknown-command"])
+    def test_exit_one_with_usage(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "usage: noisebench" in err
+
+
 class TestSynthData:
     def test_writes_dataset(self, tmp_path, capsys):
         path, cfg = base_config(tmp_path)
@@ -435,6 +453,17 @@ class TestFeatures:
         assert main(["features", "--config", str(path)]) == 0
         second = capsys.readouterr().out
         assert "0 computed" in second
+
+    def test_wav_with_a_zero_sample_rate_is_reported(self, on_disk_dataset, capsys):
+        path, cfg, out = on_disk_dataset
+        wavs = sorted((out / "audio").glob("*.wav"))
+        header = bytearray(wavs[2].read_bytes())
+        header[24:32] = bytes(8)  # the sample rate and byte rate fields
+        wavs[2].write_bytes(bytes(header))
+        assert main(["features", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"{wavs[2].name}: sample rate 0 is not positive" in captured.err
+        assert f"{len(wavs) - 1} computed, 0 up to date, 1 failed" in captured.out
 
     def test_corrupt_wav_is_reported_and_others_succeed(
         self, on_disk_dataset, capsys

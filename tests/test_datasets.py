@@ -16,6 +16,7 @@ from noisebench import (
     select_subset,
     write_wav,
 )
+from noisebench.audio_io import wav_duration
 from noisebench.datasets import DatasetManifest, LabelRecord, clip_durations, write_manifest
 from noisebench.errors import DataError, ManifestError
 
@@ -251,6 +252,16 @@ class TestWavIO:
             fh.writeframes(b"\x00\x00" * 200)
         with pytest.raises(DataError, match="mono"):
             read_wav(path)
+
+    def test_rejects_a_zero_sample_rate(self, tmp_path):
+        path = tmp_path / "zero.wav"
+        write_wav(path, AudioClip(np.zeros(100, dtype=np.float32), 8000))
+        header = bytearray(path.read_bytes())
+        header[24:32] = bytes(8)  # the sample rate and byte rate fields
+        path.write_bytes(bytes(header))
+        for read in (read_wav, wav_duration):
+            with pytest.raises(DataError, match="zero.wav: sample rate 0 is not positive"):
+                read(path)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.wav"

@@ -432,6 +432,16 @@ class TestBatchedClipEvaluation:
         with pytest.raises(ValueError, match="no patches"):
             clip_accuracy(FakeNetwork([[0.9, 0.1], [0.2, 0.8], [0.7, 0.3]]), ps)
 
+    def test_only_clip_without_patches_rejected(self):
+        # No patches at all run as one empty inference, which reaches the
+        # clip check.
+        ps = PatchSet(x=np.zeros((0, 1, 8, 8), dtype=np.float32), labels=np.zeros(0, dtype=int),
+                      origins=np.zeros(0, dtype=object), clip_index=np.zeros(0, dtype=int),
+                      clip_ids=["only"], clip_labels=np.zeros(1, dtype=int), n_classes=3)
+        net = build_baseline(8, 8, 3, channels=(2, 3, 4))
+        with pytest.raises(ValueError, match="clip 0 has no patches"):
+            clip_accuracy(net, ps)
+
     def test_patches_of_a_clip_must_be_contiguous(self):
         with pytest.raises(ValueError, match="clip_index"):
             PatchSet(x=index_patches(3), labels=np.zeros(3, dtype=int),
