@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import multiprocessing
+import os
 import sys
 from pathlib import Path
 
@@ -30,7 +31,6 @@ from .features import (
 from .fileio import atomic_csv_writer, atomic_write
 from .layers import save_checkpoint
 from .noise import corrupt_noisy_train, format_noise_report, noise_report
-from .plots import line_plot_svg
 from .training import (
     run_experiment,
     write_history_csv,
@@ -97,9 +97,10 @@ def _feature_job(item) -> tuple[Path | None, bool, str | None]:
 def _refresh_cache(sources: dict, cache_dir: Path, feat_cfg, jobs: int, force: bool):
     """Make sure every clip in ``sources`` (clip id -> the clip, or the WAV
     it is read from) has its file at feature_cache_path, with up to ``jobs``
-    worker processes; ``force`` extracts every clip. An in-memory clip is
-    keyed here and goes to a worker only if its file is missing. Returns
-    (clip id -> cache path, files extracted, messages of unreadable WAVs).
+    worker processes and no more than the CPUs; ``force`` extracts every
+    clip. An in-memory clip is keyed here and goes to a worker only if its
+    file is missing. Returns (clip id -> cache path, files extracted,
+    messages of unreadable WAVs).
     """
     paths, todo = {}, []
     for clip_id, source in sources.items():
@@ -109,8 +110,9 @@ def _refresh_cache(sources: dict, cache_dir: Path, feat_cfg, jobs: int, force: b
             if path.exists() and not force:
                 continue
         todo.append((clip_id, source, path, cache_dir, feat_cfg, force))
-    if jobs > 1 and len(todo) > 1:
-        with multiprocessing.Pool(min(jobs, len(todo))) as pool:
+    workers = min(jobs, len(todo), os.cpu_count() or 1)
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             results = pool.map(_feature_job, todo)
     else:
         results = [_feature_job(item) for item in todo]
@@ -187,13 +189,10 @@ def cmd_run(cfg: config_mod.ExperimentConfig, args) -> int:
                 for clip in clips}
     out = cfg.output_dir
 
-    curve_series = []
     for cell, subset, loss in config_mod.experiment_cells(cfg.subsets, cfg.losses):
         cell_cfg = dataclasses.replace(cfg.train, subset=subset, loss=loss)
-        histories = {}
 
-        def on_run(i, run_cfg, result, cell=cell, histories=histories):
-            histories[i] = result.history
+        def on_run(i, run_cfg, result, cell=cell):
             write_history_csv(result.history, out / f"history_{cell}_run{i}.csv")
             save_checkpoint(
                 out / f"checkpoint_{cell}_run{i}.nbc",
@@ -210,15 +209,8 @@ def cmd_run(cfg: config_mod.ExperimentConfig, args) -> int:
         )
         write_report_csv(report, out / f"report_{cell}.csv")
         _remove_stale_runs(out, cell, cfg.n_runs)
-        history = histories[0]
-        curve_series.append(
-            (cell, [h.epoch for h in history], [h.val_accuracy for h in history])
-        )
         print(f"{cell}: {report.format_text()}  (runs: "
               + ", ".join(f"{a:.3f}" for a in report.accuracies) + ")")
-    line_plot_svg(out / "val_accuracy.svg", curve_series,
-                  title="validation accuracy (run 0)",
-                  xlabel="epoch", ylabel="clip accuracy")
     return 0
 
 
@@ -276,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--force", action="store_true",
                        help="recompute outputs that look up to date")
         p.add_argument("--jobs", type=int, default=1,
-                       help="worker process cap for feature extraction")
+                       help="worker process cap for feature extraction; "
+                            "never more than the CPUs")
         p.add_argument("--seed", type=int, default=None,
                        help="override the training seed from the config")
         p.add_argument("--output", default=None,

@@ -75,8 +75,9 @@ def load_manifest(path: str | Path, audio_root: str | Path) -> DatasetManifest:
     """Load and validate a manifest CSV.
 
     Class names are the sorted distinct labels of the train rows; a label
-    that appears only in test rows is a consistency error. Record order
-    follows file order.
+    that appears only in test rows is a consistency error. A fname is a
+    path under audio_root, so an absolute one or one with a '..' part is an
+    error too. Record order follows file order.
     """
     path = Path(path)
     if not path.exists():
@@ -103,6 +104,8 @@ def load_manifest(path: str | Path, audio_root: str | Path) -> DatasetManifest:
                 raise ManifestError(
                     f"{path}:{lineno}: {col} {row[col]!r} has leading or trailing whitespace")
         fname = row["fname"]
+        if Path(fname).is_absolute() or ".." in Path(fname).parts:
+            raise ManifestError(f"{path}:{lineno}: fname {fname!r} reaches outside audio_root")
         if fname in seen:
             raise ManifestError(f"{path}:{lineno}: duplicate fname {fname!r}")
         seen.add(fname)

@@ -12,13 +12,14 @@ activation layout. A training forward caches what the layer's backward
 needs, referring to arrays it was handed rather than copying them, and
 that backward takes the cache and drops it, so a layer holds it only
 between the two; backward returns the input gradient and accumulates
-parameter gradients in place. A ``Conv2d`` runs every pass as one loop
-over batch slices: each slice is padded into a buffer of one slice,
-lowered to im2col columns and max-pooled (by one when unpooled) before the
-next. A ``Network`` trains each BatchNorm, ReLU, Conv2d in a row as one
-pre-activation stage: the BatchNorm caches x-hat and makes no output, and
-the conv computes its input from that cache one batch slice at a time, so
-neither the ReLU nor the conv caches an input (see ``Conv2d.stage_forward``).
+parameter gradients in place. A ``Conv2d`` keeps its input's height and
+width ('same' padding) and runs every pass as one loop over batch slices:
+each slice is padded into a buffer of one slice, lowered to im2col columns
+and max-pooled (by one when unpooled) before the next. A ``Network`` trains
+each BatchNorm, ReLU, Conv2d in a row as one pre-activation stage: the
+BatchNorm caches x-hat and makes no output, and the conv computes its input
+from that cache one batch slice at a time, so neither the ReLU nor the conv
+caches an input (see ``Conv2d.stage_forward``).
 """
 
 from __future__ import annotations
@@ -175,38 +176,38 @@ def max_unpool(offsets: np.ndarray, grad: np.ndarray, s: int, out: np.ndarray) -
 
 
 class Conv2d(Layer):
-    """Stride-1 cross-correlation with zero 'same' or 'valid' padding,
-    max-pooled by ``pool_size`` (see ``max_pool``; a size of 1 keeps every
-    output). Every pass runs one loop over batch slices of at most
-    COLS_BYTES of columns (see ``samples_per_slice``). Each slice's input is
-    written into the interior of a zeroed padded buffer of one slice, its
-    im2col columns are built from that buffer, and its full-resolution
-    output is computed and pooled before the next slice's, so no padded
-    copy, column matrix or unpooled output of the whole batch is made.
-    Training caches the pool's offsets and, when the batch is one slice,
-    its columns; otherwise it keeps what backward refills each slice's
-    buffer from: the caller's input array, or in a pre-activation stage
-    (``stage_forward``) the BatchNorm whose ReLU'd output fills it.
+    """Stride-1 cross-correlation with zero 'same' padding, max-pooled by
+    ``pool_size`` (see ``max_pool``; a size of 1 keeps every output).
+    ``padding`` accepts "same" alone; it stays a parameter because every
+    checkpoint header names it. Every pass runs one loop over batch slices
+    of at most COLS_BYTES of columns (see ``samples_per_slice``). Each
+    slice's input is written into the interior of a zeroed padded buffer of
+    one slice, its im2col columns are built from that buffer, and its
+    full-resolution output is computed and pooled before the next slice's,
+    so no padded copy, column matrix or unpooled output of the whole batch
+    is made. Training caches the pool's offsets and, when the batch is one
+    slice, its columns; otherwise it keeps what backward refills each
+    slice's buffer from: the caller's input array, or in a pre-activation
+    stage (``stage_forward``) the BatchNorm whose ReLU'd output fills it.
     Backward unpools each slice's output gradient, adds the slice's weight
     and bias gradients to the parameters', sums its input gradient in a
     zeroed padded slice and writes that slice's interior into the input
-    gradient, masked by the stage's ReLU where there is one; one slice
-    keeps that mask, one byte an input element, beside its columns. A
-    one-channel input lays its columns out transposed (see ``_columns``).
-    Weights are stored (out, in, kh, kw) whatever the activation layout."""
+    gradient, masked by the stage's ReLU where there is one; one slice keeps
+    that mask, one byte an input element, beside its columns. A one-channel
+    input lays its columns out transposed (see ``_columns``). Weights are
+    stored (out, in, kh, kw) whatever the activation layout."""
 
     kind = "conv2d"
 
     def __init__(self, in_channels, out_channels, kernel_size, padding="same",
                  rng=None, dtype=np.float32, name="conv", pool_size=1):
-        if padding not in ("same", "valid"):
+        if padding != "same":
             raise ConfigError(f"unsupported padding {padding!r}")
-        if padding == "same" and kernel_size % 2 == 0:
+        if kernel_size % 2 == 0:
             raise ConfigError("same padding requires an odd kernel size")
         if type(pool_size) is not int or pool_size < 1:
             raise ConfigError(f"conv pool_size must be an integer >= 1, got {pool_size!r}")
-        self.padding = padding
-        self.pad = (kernel_size - 1) // 2 if padding == "same" else 0
+        self.pad = (kernel_size - 1) // 2
         self.pool_size = pool_size
         rng = rng if rng is not None else np.random.default_rng(0)
         fan_in = in_channels * kernel_size * kernel_size
@@ -217,11 +218,11 @@ class Conv2d(Layer):
                           np.zeros(out_channels, dtype))
 
     def _lowered(self, h, w):
-        """The unpooled output height and width of an h x w input, and the
-        column elements one sample of it builds: ho * wo * kh * kw * C."""
+        """The unpooled output height and width of an h x w input, which are
+        the input's, and the column elements one sample of it builds:
+        h * w * kh * kw * C."""
         _, c, kh, kw = self.weight.value.shape
-        ho, wo = h + 2 * self.pad - kh + 1, w + 2 * self.pad - kw + 1
-        return ho, wo, ho * wo * kh * kw * c
+        return h, w, h * w * kh * kw * c
 
     def _slices(self, shape, dtype):
         """The (start, stop) batch ranges of the slices of an NHWC input
@@ -396,7 +397,7 @@ class Conv2d(Layer):
     def config(self):
         f, c, k, _ = self.weight.value.shape
         config = {"kind": self.kind, "in_channels": c, "out_channels": f,
-                  "kernel_size": k, "padding": self.padding}
+                  "kernel_size": k, "padding": "same"}
         if self.pool_size != 1:
             config["pool_size"] = self.pool_size
         return config

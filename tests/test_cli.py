@@ -492,9 +492,11 @@ class TestFeatures:
             assert f.read_bytes() == (parallel_dir / f.name).read_bytes()
 
     @staticmethod
-    def _record_pool_sizes(monkeypatch):
+    def _record_pool_sizes(monkeypatch, cpus=64):
         """Replace the worker pool with a serial stand-in that records the
-        process count it was asked for; no process is started."""
+        process count it was asked for, on a machine of ``cpus`` CPUs; no
+        process is started."""
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
         sizes = []
 
         class SerialPool:
@@ -526,6 +528,17 @@ class TestFeatures:
         assert main(["features", "--config", str(path), "--jobs", "64"]) == 0
         assert sizes[1:] == [3]
         assert "3 computed" in capsys.readouterr().out
+
+    # FSDnoisy18k has 18.5k clips: --jobs must not start a process per clip.
+    @pytest.mark.parametrize("cpus,sizes", [(3, [3]), (1, []), (None, [])])
+    def test_pool_has_no_more_workers_than_cpus(self, tmp_path, monkeypatch, cpus, sizes):
+        path, cfg = base_config(tmp_path)
+        cfg["features"]["cache_dir"] = str(tmp_path / "cache")
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        recorded = self._record_pool_sizes(monkeypatch, cpus)
+        assert main(["features", "--config", str(path), "--jobs", "20000"]) == 0
+        assert recorded == sizes
+        assert len(list((tmp_path / "cache").glob("*.lmf"))) == len(cfg_records(cfg))
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_is_a_config_error(self, tmp_path, monkeypatch, capsys, jobs):
@@ -912,6 +925,27 @@ class TestInjectNoise:
         path, _ = base_config(tmp_path)
         assert main(["inject-noise", "--config", str(path)]) == 1
 
+    def test_fname_that_leaves_the_output_is_a_data_error(self, on_disk_dataset, capsys):
+        # Read from audio/sub, ../../escaped.wav is out/escaped.wav; written
+        # under the output's audio/, it would land beside the output.
+        path, cfg, out = on_disk_dataset
+        sub = out / "audio" / "sub"
+        sub.mkdir()
+        for wav in (out / "audio").glob("*.wav"):
+            wav.rename(sub / wav.name)
+        (sub / "synth_c00_0000.wav").rename(out / "escaped.wav")
+        manifest = out / "manifest.csv"
+        manifest.write_text(manifest.read_text(encoding="utf-8").replace(
+            "synth_c00_0000.wav", "../../escaped.wav"), encoding="utf-8")
+        cfg["dataset"]["audio_root"] = str(sub)
+        cfg["noise"] = {"p_incorrect_iv": 0.4, "seed": 3}
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["inject-noise", "--config", str(path),
+                     "--output", str(out.parent / "inj")]) == 2
+        assert "'../../escaped.wav'" in capsys.readouterr().err
+        assert not (out.parent / "escaped.wav").exists()
+
     def test_one_label_manifest_with_incorrect_iv_is_a_data_error(self, on_disk_dataset,
                                                                   capsys):
         path, cfg, out = on_disk_dataset
@@ -936,7 +970,6 @@ class TestRun:
         out = tmp_path / "out"
         reports = sorted(out.glob("report_*.csv"))
         assert len(reports) == 2
-        assert (out / "val_accuracy.svg").exists()
         assert list(out.glob("history_*_run0.csv"))
         assert list(out.glob("checkpoint_*_run0.nbc"))
 

@@ -88,6 +88,21 @@ class TestLoadManifest:
                            match=rf"m\.csv:3: {column} .* has leading or trailing whitespace"):
             load_manifest(path, tmp_path)
 
+    # Commands write each clip to audio_dir / fname, so such a name would
+    # write outside their output directory.
+    @pytest.mark.parametrize("fname", ["../x.wav", "a/../../x.wav", "a/..", "/tmp/x.wav"])
+    def test_fname_outside_audio_root_names_the_line(self, tmp_path, fname):
+        path = tmp_path / "m.csv"
+        write_csv(path, ["b.wav,dog,1,train", f"{fname},dog,0,train"])
+        with pytest.raises(ManifestError, match=rf"m\.csv:3: fname .* outside audio_root"):
+            load_manifest(path, tmp_path)
+
+    def test_fname_in_a_subdirectory_loads(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_csv(path, ["a/x.wav,dog,1,train", "b/x.wav,dog,0,train", "c..d.wav,dog,0,train"])
+        assert [r.clip_id for r in load_manifest(path, tmp_path).records] == [
+            "a/x.wav", "b/x.wav", "c..d.wav"]
+
     def test_label_only_in_test_rows(self, tmp_path):
         path = tmp_path / "m.csv"
         write_csv(path, ["a.wav,dog,1,train", "z.wav,zebra,1,test"])

@@ -1,10 +1,12 @@
 """Every output file is replaced atomically: an interrupted writer leaves
 the previous file byte-identical, or no file, and no temporary behind. And
 only ``features`` names feature cache files. And every noisebench name that
-the benchmark in ``perfbench/`` uses exists."""
+the benchmark in ``perfbench/`` uses exists, and takes its calls' arguments."""
 
 import ast
+import inspect
 import json
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,6 @@ from noisebench.audio_io import AudioClip, write_wav
 from noisebench.cli import main
 from noisebench.datasets import gen_synthetic_dataset, write_manifest
 from noisebench.noise import NoiseSpec, corrupt_noisy_train
-from noisebench.plots import line_plot_svg
 
 from test_cli import base_config
 
@@ -158,17 +159,77 @@ def _benchmark_uses(tree: ast.AST) -> list[tuple[str, str]]:
     return uses
 
 
-def _resolves(owner: str, name: str) -> bool:
+def _owner(owner: str):
     obj = noisebench
     for part in filter(None, owner.split(".")):
         obj = getattr(obj, part, None)
-    return hasattr(obj, name)
+    return obj
+
+
+def _resolves(owner: str, name: str) -> bool:
+    return hasattr(_owner(owner), name)
+
+
+_NO_VALUE = object()
+
+
+def _static_value(node):
+    """The value of a literal or of a ``np.<name>`` attribute, else _NO_VALUE."""
+    if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "np":
+        return getattr(np, node.attr, _NO_VALUE)
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError):
+        return _NO_VALUE
+
+
+def _kind(value):
+    return "number" if isinstance(value, numbers.Number) else type(value)
+
+
+def _unbound_calls(tree: ast.AST) -> list[str]:
+    """``line: owner.name: reason`` for each call of a ``<module>.<name>``
+    chain that resolves and uses no ``*`` or ``**`` argument, whose number of
+    positional arguments and keyword names its signature does not bind. A
+    dropped parameter can leave the count binding and shift every argument
+    after it, so a positional argument also fails where it lands on another
+    parameter than the one it is spelled like (``rng``, ``state.rng``), or
+    where it is a literal or a ``np.<name>`` of another kind than the
+    parameter's default (a string, a number, a type)."""
+    unbound = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        owner, name = _dotted_owner(node.func.value), node.func.attr
+        if (not owner or not _resolves(owner, name)
+                or any(isinstance(arg, ast.Starred) for arg in node.args)
+                or any(k.arg is None for k in node.keywords)):
+            continue
+        where = f"{node.lineno}: {owner}.{name}"
+        signature = inspect.signature(getattr(_owner(owner), name))
+        try:
+            signature.bind(*[None] * len(node.args), **{k.arg: None for k in node.keywords})
+        except TypeError as exc:
+            unbound.append(f"{where}: {exc}")
+            continue
+        positions = [p for p in signature.parameters.values()
+                     if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+        for arg, param in zip(node.args, positions):
+            spelled = getattr(arg, "id", None) or getattr(arg, "attr", None)
+            value, default = _static_value(arg), param.default
+            if spelled in signature.parameters and spelled != param.name:
+                unbound.append(f"{where}: {spelled!r} passed as {param.name!r}")
+            elif (value is not _NO_VALUE and default is not param.empty
+                    and default is not None and _kind(value) != _kind(default)):
+                unbound.append(f"{where}: {ast.unparse(arg)} passed as {param.name}={default!r}")
+    return unbound
 
 
 class TestBenchmarkCallSurface:
-    """Every noisebench name that ``perfbench/`` uses still exists, so that
-    deleting or renaming one fails here and not only in a benchmark run.
-    This checks names, not signatures."""
+    """Every noisebench name that ``perfbench/`` uses still exists, and each
+    call it makes of one binds to the signature, so that deleting, renaming
+    or dropping a parameter of one fails here and not only in a benchmark
+    run. Calls are checked by argument count and keyword names only."""
 
     def test_every_name_the_benchmark_uses_resolves(self):
         uses = {path.name: _benchmark_uses(ast.parse(path.read_text(encoding="utf-8")))
@@ -193,6 +254,31 @@ class TestBenchmarkCallSurface:
     ])
     def test_the_scan_finds_each_kind_of_use(self, source, uses):
         assert sorted(_benchmark_uses(ast.parse(source))) == sorted(uses)
+
+    def test_every_call_the_benchmark_makes_binds(self):
+        unbound = {path.name: _unbound_calls(ast.parse(path.read_text(encoding="utf-8")))
+                   for path in sorted(_BENCH.glob("*.py"))}
+        assert {name: calls for name, calls in unbound.items() if calls} == {}
+
+    @pytest.mark.parametrize("source,unbound", [
+        ('layers.Conv2d(2, 3, 3, "same", rng, np.float64)', []),
+        ('layers.Conv2d(2, 3, 3, "same", rng, np.float64, "c", 2, 9)', ["layers.Conv2d"]),
+        ("layers.Conv2d(2, 3, 3, rng)", ["layers.Conv2d"]),
+        ("layers.Conv2d(2, 3, kernel_size, 'same', state.rng)", []),
+        ("layers.Conv2d(2, 3, 3, 'same', make_rng(0), np.float64, 'conv1', 2.0)", []),
+        ("layers.Conv2d(2, 3, 3, make_rng(0), np.float64, 'conv1')", ["layers.Conv2d"]),
+        ("layers.Conv2d(2, 3, 3, 'same', make_rng(0), 'float64')", ["layers.Conv2d"]),
+        ("layers.Conv2d(2, 3, 3, padding='same', stride=2)", ["layers.Conv2d"]),
+        ("layers.Conv2d(2, 3)", ["layers.Conv2d"]),
+        ("training.Standardizer.fit(x)", []),
+        ("training.Standardizer.fit(x, y)", ["training.Standardizer.fit"]),
+        ("layers.Conv2d(*args)", []),
+        ("layers.Conv2d(**kwargs)", []),
+        ("layers.NoSuchLayer(1)", []),
+        ("state.features.get(1, 2, 3)", []),
+    ])
+    def test_the_call_check_finds_calls_that_do_not_bind(self, source, unbound):
+        assert [line.split(": ")[1] for line in _unbound_calls(ast.parse(source))] == unbound
 
     def test_a_missing_name_does_not_resolve(self):
         assert _resolves("training", "train") and _resolves("", "Adam")
@@ -237,15 +323,6 @@ class TestInterruptedWrites:
         interrupt_writes()
         with pytest.raises(OSError, match="interrupted"):
             write_wav(path, AudioClip(-samples, 1000, "a.wav"))
-        _assert_untouched(path, before)
-
-    def test_svg_plot(self, tmp_path, interrupt_writes):
-        path = tmp_path / "curve.svg"
-        line_plot_svg(path, [("a", [1, 2], [0.1, 0.2])], "t", "x", "y")
-        before = path.read_bytes()
-        interrupt_writes()
-        with pytest.raises(OSError, match="interrupted"):
-            line_plot_svg(path, [("b", [1, 2], [0.3, 0.1])], "t", "x", "y")
         _assert_untouched(path, before)
 
     def test_noise_report(self, tmp_path, interrupt_writes):

@@ -113,15 +113,12 @@ class TestConv2d:
             layer.forward(np.zeros((2, 5, 5, 1), dtype=np.float32), train=False)
 
     # Two input channels take the general column layout, one channel the
-    # transposed one; the two-channel cases keep their unsuffixed ids.
-    @pytest.mark.parametrize("padding,channels", [
-        pytest.param(padding, channels, id=padding if channels == 2 else f"{padding}-1ch")
-        for channels in (2, 1) for padding in ("same", "valid")
-    ])
-    def test_gradcheck(self, padding, channels):
+    # transposed one.
+    @pytest.mark.parametrize("channels", [2, 1], ids=["same", "same-1ch"])
+    def test_gradcheck(self, channels):
         for seed in range(5):
             layer_gradcheck(
-                lambda rng: Conv2d(channels, 3, 3, padding, rng, np.float64),
+                lambda rng: Conv2d(channels, 3, 3, "same", rng, np.float64),
                 (2, 6, 7, channels),
                 seed,
             )
@@ -146,7 +143,7 @@ class TestConv2dSlices:
         per_sample = im2col_bytes([layer], *self.X_SHAPE[1:3], 8)
         monkeypatch.setattr(layers, "COLS_BYTES", 2 * per_sample)
 
-    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("padding", ["same"])
     def test_slices_match_one_slice(self, monkeypatch, padding):
         rng = np.random.default_rng(21)
         x = rng.standard_normal(self.X_SHAPE)
@@ -159,7 +156,7 @@ class TestConv2dSlices:
             assert a.shape == b.shape
             assert np.abs(a - b).max() < 1e-12
 
-    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("padding", ["same"])
     def test_gradcheck(self, monkeypatch, padding):
         self.two_sample_budget(monkeypatch, Conv2d(self.X_SHAPE[3], 3, 3, padding))
         for seed in range(3):
@@ -248,7 +245,7 @@ class TestOneChannelColumns:
     fails here."""
 
     @pytest.mark.parametrize("kernel,padding,filters", [
-        (3, "same", 6), (3, "valid", 6), (5, "same", 32)])
+        (3, "same", 6), (5, "same", 32)])
     @pytest.mark.parametrize("batch,per_slice", [(64, 64), (64, 22), (3, 3), (7, 3)])
     def test_bits_match_general_columns(self, monkeypatch, kernel, padding, filters,
                                         batch, per_slice):
@@ -651,16 +648,16 @@ class TestPooledConvBits:
     rows or columns the pool crops, with windows tied at the bias, NaN
     windows and signed-zero gradients."""
 
-    # (input shape, padding): a 7x9 'same' output, and an 8x11 one-channel
-    # input whose 'valid' output is 6x9.
-    CASES = [((5, 7, 9, 2), "same"), ((5, 8, 11, 1), "valid")]
+    # (input shape, padding): a 7x9 output, whose last row and column a pool
+    # of 2 crops, and a one-channel 6x9 one, whose last column it crops.
+    CASES = [((5, 7, 9, 2), "same"), ((5, 6, 9, 1), "same")]
 
     @pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
     @pytest.mark.parametrize("per_slice", [None, 2], ids=["one-slice", "slices"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("filters", [1, 3], ids=["F1", "F3"])
     @pytest.mark.parametrize("size", [2, 3])
-    @pytest.mark.parametrize("shape,padding", CASES, ids=["same-2ch", "valid-1ch"])
+    @pytest.mark.parametrize("shape,padding", CASES, ids=["same-2ch", "same-1ch"])
     def test_matches_conv_then_maxpool(self, monkeypatch, shape, padding, size, filters,
                                        dtype, per_slice, nan):
         rng = np.random.default_rng(sum(shape) + 10 * size + filters)
@@ -713,9 +710,9 @@ class TestPooledConvBits:
             layer.forward(np.zeros(shape), train=False)
 
     def test_output_smaller_than_the_window_names_the_layer(self):
-        layer = Conv2d(1, 2, 3, "valid", pool_size=2, name="conv7")
+        layer = Conv2d(1, 2, 3, pool_size=2, name="conv7")
         with pytest.raises(ValueError, match=r"conv7\.weight: input \(1, 1, 4, 2\) smaller"):
-            layer.forward(np.zeros((1, 3, 6, 1), dtype=np.float32), train=False)
+            layer.forward(np.zeros((1, 1, 4, 1), dtype=np.float32), train=False)
 
     def test_config_writes_pool_size_only_above_one(self):
         assert "pool_size" not in Conv2d(2, 3, 3).config()
@@ -1059,9 +1056,7 @@ def small_stage_net(padding, pool_size, dtype):
     bn = BatchNorm(2, dtype=dtype, name="bn1")
     bn.gamma.value[...] = rng.standard_normal(2)
     bn.beta.value[...] = rng.standard_normal(2)
-    h, w = (7, 9) if padding == "same" else (5, 7)
-    h, w = h // pool_size, w // pool_size
-    dense = Dense(3 * h * w, 20, rng, dtype, name="dense")
+    dense = Dense(3 * (7 // pool_size) * (9 // pool_size), 20, rng, dtype, name="dense")
     return Network([bn, ReLU(), conv, BatchNorm(3, dtype=dtype, name="bn2"), ReLU(), dense,
                     Softmax()])
 
@@ -1100,10 +1095,10 @@ class TestStageBits:
     @pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
     @pytest.mark.parametrize("per_slice", [None, 2], ids=["one-slice", "slices"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("padding,pool_size", [("valid", 2), ("same", 1), ("valid", 1)],
-                             ids=["valid", "unpooled", "valid-unpooled"])
-    def test_valid_and_unpooled_convs(self, monkeypatch, padding, pool_size, dtype, per_slice,
-                                      nan):
+    @pytest.mark.parametrize("padding,pool_size", [("same", 2), ("same", 1)],
+                             ids=["pooled", "unpooled"])
+    def test_pooled_and_unpooled_convs(self, monkeypatch, padding, pool_size, dtype, per_slice,
+                                       nan):
         def make():
             return small_stage_net(padding, pool_size, dtype)
 
@@ -1131,7 +1126,7 @@ class TestStageBits:
         assert not any(isinstance(a, np.ndarray) and a.shape == shape for a in conv._cache)
 
     def test_a_second_backward_has_no_cache(self):
-        net = Network(small_stage_net("valid", 1, np.float64).layers[:3])
+        net = Network(small_stage_net("same", 1, np.float64).layers[:3])
         x, _ = stage_input((5, 2, 7, 9), np.float64, 5)
         out = net.forward(x, train=True)
         net.backward(np.ones_like(out))
@@ -1316,6 +1311,7 @@ class TestCheckpoint:
         lambda h: h.pop("extra"),
         lambda h: h["layers"][0].update(kind="groupnorm"),
         lambda h: h["layers"][2].update(padding="full"),
+        lambda h: h["layers"][2].update(padding="valid"),
         lambda h: h["layers"][2].update(pool_size=0),
         lambda h: h["layers"][2].update(pool_size=2.0),
         lambda h: unfold_pool(h, 2, 0),
@@ -1327,8 +1323,9 @@ class TestCheckpoint:
         lambda h: h["layers"][0].update(momentum=2.0),
         lambda h: h["layers"][0].update(momentum=-0.1),
     ], ids=["layer-missing-a-key", "layer-missing-a-default", "no-extra", "unknown-kind", "bad-padding",
-            "pool-size-below-one", "pool-size-not-an-integer", "legacy-maxpool-size-0",
-            "legacy-maxpool-size-minus-1", "legacy-maxpool-size-not-an-integer",
+            "valid-padding", "pool-size-below-one", "pool-size-not-an-integer",
+            "legacy-maxpool-size-0", "legacy-maxpool-size-minus-1",
+            "legacy-maxpool-size-not-an-integer",
             "batchnorm-eps-a-string", "batchnorm-eps-negative", "batchnorm-eps-zero",
             "batchnorm-momentum-above-one", "batchnorm-momentum-negative"])
     def test_malformed_header_is_a_data_error(self, tmp_path, edit):
