@@ -40,17 +40,15 @@ from .training import (
 
 
 def _load_dataset(cfg: config_mod.ExperimentConfig, decode: bool = True):
-    """Returns (clips, manifest, distractor_pool). With ``decode`` False, a
-    manifest's WAV files are not read and ``clips`` is empty."""
+    """Returns (clips, manifest, distractor_pool), clips aligned with the
+    records; with ``decode`` False, a manifest's clips are its WAVs' paths."""
     if "synthetic" in cfg.dataset:
         return gen_synthetic_dataset(**cfg.dataset["synthetic"])
     manifest = load_manifest(
         cfg.resolve(cfg.dataset["manifest"]), cfg.resolve(cfg.dataset["audio_root"])
     )
-    clips = [
-        read_wav(manifest.audio_root / rec.clip_id, rec.clip_id)
-        for rec in manifest.records
-    ] if decode else []
+    clips = [read_wav(manifest.audio_path(rec), rec.clip_id) if decode
+             else manifest.audio_path(rec) for rec in manifest.records]
     return clips, manifest, []
 
 
@@ -64,12 +62,10 @@ def cmd_synth_data(cfg: config_mod.ExperimentConfig, args) -> int:
         raise ConfigError("synth-data requires a dataset.synthetic section")
     clips, manifest, distractors = gen_synthetic_dataset(**cfg.dataset["synthetic"])
     out = cfg.output_dir
-    audio_dir = out / "audio"
     for clip in clips:
-        write_wav(audio_dir / clip.clip_id, clip)
+        write_wav(out / "audio" / clip.clip_id, clip)
     for clip in distractors:
         write_wav(out / "distractors" / clip.clip_id, clip)
-    manifest.audio_root = audio_dir
     write_manifest(manifest, out / "manifest.csv")
     print(f"wrote {len(clips)} clips, {len(distractors)} distractors, "
           f"manifest with {len(manifest.records)} records to {out}")
@@ -129,10 +125,7 @@ def _refresh_cache(sources: dict, cache_dir: Path, feat_cfg, jobs: int, force: b
 def cmd_features(cfg: config_mod.ExperimentConfig, args) -> int:
     cache_dir = _cache_dir(cfg)
     clips, manifest, _ = _load_dataset(cfg, decode=False)
-    if "synthetic" in cfg.dataset:
-        sources = {clip.clip_id: clip for clip in clips}
-    else:
-        sources = {rec.clip_id: manifest.audio_root / rec.clip_id for rec in manifest.records}
+    sources = {rec.clip_id: clip for rec, clip in zip(manifest.records, clips)}
     paths, extracted, errors = _refresh_cache(sources, cache_dir, cfg.features, args.jobs,
                                               args.force)
     print(f"features: {extracted} computed, {len(paths) - extracted} up to date, "
@@ -151,10 +144,8 @@ def cmd_inject_noise(cfg: config_mod.ExperimentConfig, args) -> int:
     if log is None:
         raise DataError("dataset has no noisy-origin train records to corrupt")
     out = cfg.output_dir
-    audio_dir = out / "audio"
     for clip in new_clips:
-        write_wav(audio_dir / clip.clip_id, clip)
-    new_manifest.audio_root = audio_dir
+        write_wav(out / "audio" / clip.clip_id, clip)
     write_manifest(new_manifest, out / "manifest.csv")
     log.write_csv(out / "provenance.csv")
     report = noise_report(log)
@@ -178,6 +169,11 @@ def _remove_stale_runs(out: Path, cell: str, n_runs: int) -> None:
 
 
 def cmd_run(cfg: config_mod.ExperimentConfig, args) -> int:
+    if args.seed is not None:
+        try:
+            cfg.train = dataclasses.replace(cfg.train, seed=args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"--seed: {exc}") from None
     clips, manifest, pool = _load_dataset(cfg)
     if cfg.noise is not None:
         clips, manifest, _ = corrupt_noisy_train(clips, manifest, cfg.noise, pool,
@@ -230,12 +226,22 @@ def cmd_report(cfg: config_mod.ExperimentConfig, args) -> int:
     return 0
 
 
+# The flags a command may read besides --config and --output.
+_FLAGS = {
+    "--force": dict(action="store_true", help="extract every clip's features again"),
+    "--jobs": dict(type=int, default=1, help="worker process cap for feature extraction; "
+                                              "never more than the CPUs"),
+    "--seed": dict(type=int, default=None, help="override the training seed from the config"),
+}
+
+# Each command: its function, its help and the _FLAGS it reads.
 _COMMANDS = {
-    "synth-data": cmd_synth_data,
-    "features": cmd_features,
-    "inject-noise": cmd_inject_noise,
-    "run": cmd_run,
-    "report": cmd_report,
+    "synth-data": (cmd_synth_data, "generate a deterministic synthetic dataset", ()),
+    "features": (cmd_features, "extract and cache log-mel features", ("--force", "--jobs")),
+    "inject-noise": (cmd_inject_noise, "corrupt noisy-origin labels per the noise spec", ()),
+    "run": (cmd_run, "train and evaluate every (subset, loss) cell in the config",
+            ("--force", "--jobs", "--seed")),
+    "report": (cmd_report, "summarize the report CSVs of the config's cells", ()),
 }
 
 
@@ -255,43 +261,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "features, noise injection, training, reports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    help_text = {
-        "synth-data": "generate a deterministic synthetic dataset",
-        "features": "extract and cache log-mel features",
-        "inject-noise": "corrupt noisy-origin labels per the noise spec",
-        "run": "train and evaluate every (subset, loss) cell in the config",
-        "report": "summarize the report CSVs of the config's cells",
-    }
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=help_text[name])
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="experiment config JSON")
-        p.add_argument("--force", action="store_true",
-                       help="recompute outputs that look up to date")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker process cap for feature extraction; "
-                            "never more than the CPUs")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the training seed from the config")
         p.add_argument("--output", default=None,
                        help="override output_dir from the config; taken relative to "
                             "the working directory")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.jobs < 1:
+        if getattr(args, "jobs", 1) < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         cfg = config_mod.load_config(args.config)
         if args.output:
             cfg.output_dir = Path(args.output)
-        if args.seed is not None:
-            try:
-                cfg.train = dataclasses.replace(cfg.train, seed=args.seed)
-            except ValueError as exc:
-                raise ConfigError(f"--seed: {exc}") from None
-        return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command][0](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -19,10 +19,10 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .datasets import Subset, check_synthetic
+from .datasets import Subset, check_synthetic, gen_synthetic_dataset
 from .errors import ConfigError
 from .features import FeatureConfig
-from .losses import LossConfig, LossFamily
+from .losses import FAMILY_KEYS, LossConfig, LossFamily
 from .noise import NoiseSpec
 from .training import TrainConfig, check_n_runs
 
@@ -101,6 +101,12 @@ def _params(make) -> dict:
             if p.kind is not p.VAR_KEYWORD}
 
 
+def _required(make) -> list[str]:
+    """The parameters of ``make`` without a default, ``**kwargs`` aside."""
+    return [name for name, p in inspect.signature(make).parameters.items()
+            if p.default is p.empty and p.kind is not p.VAR_KEYWORD]
+
+
 def _build(make, raw, where: str, keys: dict | None = None, required=None):
     """``make(**raw)`` for the JSON object ``raw`` found at ``where``.
 
@@ -109,9 +115,7 @@ def _build(make, raw, where: str, keys: dict | None = None, required=None):
     hold and defaults to the parameters without a default. A ConfigError
     or ValueError from ``make`` is re-raised with ``where`` in front.
     """
-    if required is None:
-        required = [name for name, p in inspect.signature(make).parameters.items()
-                    if p.default is p.empty and p.kind is not p.VAR_KEYWORD]
+    required = _required(make) if required is None else required
     keys = _params(make) if keys is None else keys
     if not isinstance(raw, dict):
         raise _invalid(where, f"{json.dumps(raw)} is not an object")
@@ -155,21 +159,30 @@ _TRAIN = {**{key: tp for key, tp in _params(TrainConfig).items() if key not in (
           **_params(_train)}
 
 
+def _loss(raw, where: str) -> LossConfig:
+    """A train/losses entry: a LossConfig holding only the keys its family reads."""
+    loss = _build(LossConfig, raw, where, required=("family",))
+    for key in raw:
+        if key not in FAMILY_KEYS[loss.family]:
+            raise _invalid(where, f"the {loss.family.value} family reads no key {key!r}")
+    return loss
+
+
 def parse_config(raw: dict, base_dir: str | Path = ".") -> ExperimentConfig:
     root = _build(dict, raw, "", _ROOT, required=("dataset", "features", "train", "output_dir"))
     dataset = _build(dict, root["dataset"], "dataset", _DATASET, required=())
     if ("manifest" in dataset) == ("synthetic" in dataset):
         raise _invalid("dataset", "needs exactly one of 'manifest' or 'synthetic'")
-    if "manifest" in dataset and "audio_root" not in dataset:
-        raise _invalid("dataset", "audio_root is required with manifest")
+    if ("manifest" in dataset) != ("audio_root" in dataset):
+        raise _invalid("dataset", "audio_root is required with manifest, and only with it")
     if "synthetic" in dataset:
-        _build(check_synthetic, dataset["synthetic"], "dataset/synthetic")
+        _build(check_synthetic, dataset["synthetic"], "dataset/synthetic",
+               _params(gen_synthetic_dataset), _required(gen_synthetic_dataset))
     features, cache_dir = _build(_features, root["features"], "features",
                                  {**_params(FeatureConfig), **_params(_features)})
     noise = _build(NoiseSpec, root["noise"], "noise") if "noise" in root else None
     train, subsets, losses, n_runs = _build(_train, root["train"], "train", _TRAIN)
-    losses = [_build(LossConfig, item, f"train/losses/{i}", required=("family",))
-              for i, item in enumerate(losses)]
+    losses = [_loss(item, f"train/losses/{i}") for i, item in enumerate(losses)]
     experiment_cells(subsets, losses)
     # output_dir, like every path in the file, is relative to the file.
     base_dir = Path(base_dir)

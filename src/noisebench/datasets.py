@@ -61,6 +61,9 @@ class DatasetManifest:
     def n_classes(self) -> int:
         return len(self.class_names)
 
+    def audio_path(self, record: LabelRecord) -> Path:
+        return self.audio_root / record.clip_id
+
     def train_records(self) -> list[LabelRecord]:
         return [r for r in self.records if r.split is Split.TRAIN]
 
@@ -204,9 +207,7 @@ def select_subset(
     else:
         if not any(r.noisy_small for r in train):
             if durations is None:
-                durations = {
-                    r.clip_id: wav_duration(manifest.audio_root / r.clip_id) for r in train
-                }
+                durations = {r.clip_id: wav_duration(manifest.audio_path(r)) for r in train}
             missing = [r.clip_id for r in train if r.clip_id not in durations]
             if missing:
                 raise DataError(f"no duration known for clips: {missing[:5]}")
@@ -309,22 +310,20 @@ def _finish(rng, x: np.ndarray, snr_db: float | None = None) -> np.ndarray:
     return np.clip(x, -1.0, 1.0).astype(np.float32)
 
 
-def check_synthetic(n_classes: int, clips_per_class: int, clean_fraction: float,
-                    sample_rate: int, seed: int, test_per_class: int | None = None) -> None:
-    """Range rules for the arguments of ``gen_synthetic_dataset``. The
-    parameters are the keys of a config's ``dataset.synthetic`` section."""
-    if n_classes < 2:
-        raise ValueError("n_classes must be >= 2")
-    if clips_per_class < 2:
-        raise ValueError("clips_per_class must be >= 2")
-    if not 0.0 < clean_fraction < 1.0:
+def check_synthetic(**args) -> None:
+    """Range rules for ``gen_synthetic_dataset``'s arguments, by name (one
+    with a default may be absent), which a config's dataset.synthetic holds."""
+    for name in ("n_classes", "clips_per_class"):
+        if args[name] < 2:
+            raise ValueError(f"{name} must be >= 2")
+    if not 0.0 < args["clean_fraction"] < 1.0:
         raise ValueError("clean_fraction must be in (0, 1)")
-    if sample_rate <= 0:
+    if args["sample_rate"] <= 0:
         raise ValueError("sample_rate must be positive")
-    if test_per_class is not None and test_per_class < 1:
+    if args.get("test_per_class") is not None and args["test_per_class"] < 1:
         raise ValueError("test_per_class must be >= 1")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    if args["seed"] < 0:
+        raise ValueError(f"seed must be >= 0, got {args['seed']}")
 
 
 def gen_synthetic_dataset(
@@ -347,8 +346,7 @@ def gen_synthetic_dataset(
     Returns ``(clips, manifest, distractor_pool)`` where ``clips`` is
     aligned with ``manifest.records``.
     """
-    check_synthetic(n_classes, clips_per_class, clean_fraction, sample_rate, seed,
-                    test_per_class)
+    check_synthetic(**locals())
     if test_per_class is None:
         test_per_class = max(2, _round_half_up(0.2 * clips_per_class))
 

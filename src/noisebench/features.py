@@ -30,7 +30,6 @@ class FeatureConfig:
     sample_rate: int = 44100
     fft_size: int = 2048
     hop: int = 1024
-    window: str = "hann"
     n_mels: int = 96
     fmin: float = 0.0
     fmax: float | None = None  # defaults to sample_rate / 2
@@ -42,8 +41,6 @@ class FeatureConfig:
             object.__setattr__(self, "fmax", self.sample_rate / 2)
         if self.sample_rate <= 0:
             raise ConfigError("sample_rate must be positive")
-        if self.window != "hann":
-            raise ConfigError(f"unsupported window {self.window!r}")
         if self.fft_size < 2:
             raise ConfigError("fft_size must be >= 2")
         if not 1 <= self.hop <= self.fft_size:
@@ -217,8 +214,7 @@ def feature_cache_path(cache_dir: str | Path, clip: AudioClip, cfg: FeatureConfi
     bytes. A file exists only for its own input, so whether it exists is
     the whole staleness check.
     """
-    settings = {name: getattr(cfg, name) for name in _KEYED_FIELDS}
-    settings = {name: v if isinstance(v, str) else float(v) for name, v in settings.items()}
+    settings = {name: float(getattr(cfg, name)) for name in _KEYED_FIELDS}
     samples = np.ascontiguousarray(clip.samples)
     digest = hashlib.sha256(repr((settings, samples.dtype.str)).encode())
     digest.update(samples)

@@ -39,9 +39,13 @@ class LossFamily(str, enum.Enum):
     MASK_STAT = "mask_stat"
 
 
-# The hyperparameter each robust family reads.
+# The hyperparameter each robust family reads, and the LossConfig fields
+# each family reads: cce its family alone, a robust family its
+# hyperparameter and ``selective`` too.
 _PARAMETER = {LossFamily.SOFT: "beta", LossFamily.LQ: "q",
               LossFamily.MASK_MAX: "m", LossFamily.MASK_STAT: "l"}
+FAMILY_KEYS = {LossFamily.CCE: ("family",),
+               **{family: ("family", name, "selective") for family, name in _PARAMETER.items()}}
 
 
 def check_parameter(name: str, value: float) -> None:

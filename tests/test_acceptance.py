@@ -342,6 +342,27 @@ def _trend_dataset():
     return clips, manifest, noisy_clips, noisy_manifest
 
 
+def test_criterion_6_dataset_is_a_config(tmp_path):
+    # The trend dataset, its -2 dB SNR included, written as a config section:
+    # the CLI generates the same clean clips from it.
+    from noisebench.cli import _load_dataset
+    from noisebench.config import load_config
+
+    synthetic = {"n_classes": 4, "clips_per_class": 50, "clean_fraction": 0.05,
+                 "sample_rate": 4000, "seed": 42, "test_per_class": 25, "snr_db": -2.0}
+    path = tmp_path / "trend.json"
+    path.write_text(json.dumps({
+        "dataset": {"synthetic": synthetic},
+        "features": {"sample_rate": 4000, "fft_size": 256, "hop": 160, "n_mels": 24},
+        "train": {"subsets": ["all"], "losses": [{"family": "cce"}]},
+        "output_dir": "out",
+    }), encoding="utf-8")
+    clips, _, _ = _load_dataset(load_config(path))
+    expected = _trend_dataset()[0]
+    assert [c.clip_id for c in clips] == [c.clip_id for c in expected]
+    assert all(c.samples.tobytes() == e.samples.tobytes() for c, e in zip(clips, expected))
+
+
 def test_criterion_6_desk_scale_trend():
     start = time.monotonic()
     clips, manifest, noisy_clips, noisy_manifest = _trend_dataset()

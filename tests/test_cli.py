@@ -1,5 +1,6 @@
 """End-to-end CLI behavior on a miniature synthetic dataset."""
 
+import inspect
 import json
 import os
 import struct
@@ -18,7 +19,7 @@ from noisebench.config import experiment_cells, load_config
 from noisebench.datasets import Origin, Split, Subset, gen_synthetic_dataset
 from noisebench.errors import ConfigError
 from noisebench.features import extract_logmel, feature_cache_path, load_feature_cache
-from noisebench.losses import LossConfig
+from noisebench.losses import FAMILY_KEYS, LossConfig
 
 
 def base_config(tmp_path, **overrides):
@@ -95,9 +96,9 @@ class TestParsing:
         assert "batch_size must be >= 2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["synth-data", "inject-noise", "run", "report"])
-    def test_jobs_below_one_is_a_config_error_for_every_command(self, tmp_path, capsys,
-                                                                command):
+    @pytest.mark.parametrize("command", ["features", "run"])
+    def test_jobs_below_one_is_a_config_error_for_each_command_with_jobs(self, tmp_path,
+                                                                         capsys, command):
         path, _ = base_config(tmp_path)
         assert main([command, "--config", str(path), "--jobs", "0"]) == 1
         assert "--jobs must be at least 1" in capsys.readouterr().err
@@ -127,10 +128,10 @@ class TestParsing:
 
     @pytest.mark.parametrize("train,place", [
         ({"losses": [{"family": "lq"}, {"family": "lq"}]}, "train/losses/1"),
-        ({"losses": [{"family": "cce"}, {"family": "lq"}, {"family": "cce", "q": 0.5}]},
+        ({"losses": [{"family": "cce"}, {"family": "lq"}, {"family": "lq", "q": 0.7}]},
          "train/losses/2"),
         ({"subsets": ["all", "noisy", "all"]}, "train/subsets/2"),
-    ], ids=["lq twice", "cce with an unread q", "subset twice"])
+    ], ids=["lq twice", "lq with its default q", "subset twice"])
     def test_a_repeated_cell_is_a_config_error(self, tmp_path, capsys, train, place):
         # Two entries that train the same cell would write the same files.
         path, cfg = base_config(tmp_path)
@@ -193,7 +194,8 @@ DROP = object()  # a mutation value that deletes the key
 
 # Every key of the config document: its path, its JSON kind, values just
 # inside its range and values just outside it. Against the base document
-# above: sample_rate 2000 (so fmax <= 1000), fft_size 128, hop 64.
+# above: sample_rate 2000 (so fmax <= 1000), fft_size 128, hop 64; with the
+# changes _BASES lists for the key, if any.
 _FIELDS = [
     (("dataset", "manifest"), "string", [], ["m.csv"]),  # synthetic is already there
     (("dataset", "audio_root"), "string", ["audio"], []),
@@ -203,10 +205,10 @@ _FIELDS = [
     (("dataset", "synthetic", "sample_rate"), "integer", [1], [0]),
     (("dataset", "synthetic", "seed"), "integer", [0], [-1]),
     (("dataset", "synthetic", "test_per_class"), "integer", [1], [0]),
+    (("dataset", "synthetic", "snr_db"), "number", [-2.0, 0, 40], []),
     (("features", "sample_rate"), "integer", [17], [0, 1, 16]),  # >= 1 frame per 2 s patch
     (("features", "fft_size"), "integer", [64, 129], [63]),
     (("features", "hop"), "integer", [1, 128], [0, 129]),
-    (("features", "window"), "enum", ["hann"], ["hamming"]),
     (("features", "n_mels"), "integer", [1], [0]),
     (("features", "fmin"), "number", [0, 999.5], [-0.5, 1000]),
     (("features", "fmax"), "number", [0.5, 1000], [0, 1000.5]),
@@ -240,6 +242,17 @@ _FIELDS = [
     (("output_dir",), "string", [], []),
 ]
 
+# A key that only some documents hold is varied in one of them: audio_root
+# beside a manifest, each loss parameter and selective on a family that
+# reads it.
+_MANIFEST = {("dataset", "synthetic"): DROP, ("dataset", "manifest"): "m.csv"}
+_BASES = {
+    ("dataset", "audio_root"): _MANIFEST,
+    **{("train", "losses", 0, key): {("train", "losses", 0, "family"): family}
+       for key, family in [("beta", "soft"), ("q", "lq"), ("m", "mask_max"),
+                           ("l", "mask_stat"), ("selective", "mask_stat")]},
+}
+
 # One value of every JSON kind but the field's own: string, bool, list, null;
 # and the numbers Python's json reads that are not finite.
 _WRONG_KIND = {
@@ -268,12 +281,18 @@ def _corpus():
 
     for keys, kind, inside, outside in _FIELDS:
         place = "/".join(map(str, keys[:-1])) or "(root)"
+        base = _BASES.get(keys, {})
+
+        def add_field(value, place, key=None):
+            add({**base, keys: value}, place, key,
+                name=f"{'/'.join(map(str, keys))}={json.dumps(value)}")
+
         for value in inside:
-            add({keys: value}, None)
+            add_field(value, None)
         for value in outside:
-            add({keys: value}, place, keys[-1])
+            add_field(value, place, keys[-1])
         for value in _WRONG_KIND[kind]:
-            add({keys: value}, "/".join(map(str, keys)), keys[-1])
+            add_field(value, "/".join(map(str, keys)), keys[-1])
     for keys in _SECTIONS:
         place = "/".join(map(str, keys))
         add({keys + ("bogus",): 1}, place, "bogus")
@@ -311,6 +330,17 @@ def _corpus():
          "two losses"),
         ({("train", "losses"): [{"family": "cce"}, {"family": "lq", "q": 2}]},
          "train/losses/1", "q", "second loss q=2"),
+        # Keys nothing reads: a window with one value, a WAV directory beside
+        # generated audio, loss settings another family reads.
+        ({("features", "window"): "hann"}, "features", "window", "features/window"),
+        ({("dataset", "audio_root"): "audio"}, "dataset", "audio_root",
+         "audio_root beside synthetic"),
+        *[({("train", "losses", 0, "family"): family, ("train", "losses", 0, key): value},
+           "train/losses/0", key, f"{family} {key}={json.dumps(value)}")
+          for family, key, value in [("cce", "selective", True), ("cce", "selective", False),
+                                     ("cce", "q", 0.7), ("lq", "beta", 0.5),
+                                     ("soft", "q", 0.7), ("mask_max", "l", 1.9),
+                                     ("mask_stat", "m", 0.5)]],
     ]:
         add(changes, place, key, name=name)
     return cases
@@ -363,7 +393,7 @@ class TestRejectionParity:
         if place is None:
             cfg = load_config(path)
             for keys, value in changes.items():
-                if keys[-1] not in ("losses", "audio_root"):
+                if value is not DROP and keys[-1] != "losses":
                     assert _parsed(cfg, keys) == value
             return
         assert main(["run", "--config", str(path)]) == 1
@@ -372,6 +402,17 @@ class TestRejectionParity:
         if key is not None:
             assert key in err
         assert not (tmp_path / "out").exists()
+
+    def test_synthetic_keys_are_the_generator_parameters(self):
+        fields = {keys[2] for keys, *_ in _FIELDS if keys[:2] == ("dataset", "synthetic")}
+        assert fields == set(inspect.signature(gen_synthetic_dataset).parameters)
+
+    def test_each_loss_entry_accepts_the_keys_its_family_reads(self):
+        accepted = {family.value: set(keys) for family, keys in FAMILY_KEYS.items()}
+        assert accepted == {"cce": {"family"}, "soft": {"family", "beta", "selective"},
+                            "lq": {"family", "q", "selective"},
+                            "mask_max": {"family", "m", "selective"},
+                            "mask_stat": {"family", "l", "selective"}}
 
 
 class TestHelp:
@@ -384,6 +425,17 @@ class TestHelp:
         assert exc.value.code == 0
         assert "--config" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command,flags", [
+        ("synth-data", set()), ("features", {"--force", "--jobs"}), ("inject-noise", set()),
+        ("run", {"--force", "--jobs", "--seed"}), ("report", set()),
+    ])
+    def test_each_command_lists_the_flags_it_reads(self, command, flags, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = capsys.readouterr().out
+        assert {"--config", "--output"} <= set(text.split())
+        assert {flag for flag in ("--force", "--jobs", "--seed") if flag in text} == flags
+
 
 class TestUsageErrors:
     """A command line argparse rejects is a config error, exit code 1:
@@ -395,7 +447,11 @@ class TestUsageErrors:
         ["features", "--config", "c.json", "--jobs", "two"],
         [],
         ["bogus"],
-    ], ids=["missing-config", "unknown-flag", "bad-jobs", "no-command", "unknown-command"])
+        ["synth-data", "--config", "c.json", "--seed", "7"],
+        ["inject-noise", "--config", "c.json", "--force"],
+        ["report", "--config", "c.json", "--jobs", "2"],
+    ], ids=["missing-config", "unknown-flag", "bad-jobs", "no-command", "unknown-command",
+            "synth-data-seed", "inject-noise-force", "report-jobs"])
     def test_exit_one_with_usage(self, argv, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
