@@ -60,15 +60,12 @@ def _cache_dir(cfg: config_mod.ExperimentConfig) -> Path:
 def cmd_synth_data(cfg: config_mod.ExperimentConfig, args) -> int:
     if "synthetic" not in cfg.dataset:
         raise ConfigError("synth-data requires a dataset.synthetic section")
-    clips, manifest, distractors = gen_synthetic_dataset(**cfg.dataset["synthetic"])
+    clips, manifest, _ = gen_synthetic_dataset(**cfg.dataset["synthetic"])
     out = cfg.output_dir
     for clip in clips:
         write_wav(out / "audio" / clip.clip_id, clip)
-    for clip in distractors:
-        write_wav(out / "distractors" / clip.clip_id, clip)
     write_manifest(manifest, out / "manifest.csv")
-    print(f"wrote {len(clips)} clips, {len(distractors)} distractors, "
-          f"manifest with {len(manifest.records)} records to {out}")
+    print(f"wrote {len(clips)} clips, manifest with {len(manifest.records)} records to {out}")
     return 0
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 from .datasets import Subset, check_synthetic, gen_synthetic_dataset
 from .errors import ConfigError
 from .features import FeatureConfig
-from .losses import FAMILY_KEYS, LossConfig, LossFamily
+from .losses import LossConfig, LossFamily
 from .noise import NoiseSpec
 from .training import TrainConfig, check_n_runs
 
@@ -159,15 +159,6 @@ _TRAIN = {**{key: tp for key, tp in _params(TrainConfig).items() if key not in (
           **_params(_train)}
 
 
-def _loss(raw, where: str) -> LossConfig:
-    """A train/losses entry: a LossConfig holding only the keys its family reads."""
-    loss = _build(LossConfig, raw, where, required=("family",))
-    for key in raw:
-        if key not in FAMILY_KEYS[loss.family]:
-            raise _invalid(where, f"the {loss.family.value} family reads no key {key!r}")
-    return loss
-
-
 def parse_config(raw: dict, base_dir: str | Path = ".") -> ExperimentConfig:
     root = _build(dict, raw, "", _ROOT, required=("dataset", "features", "train", "output_dir"))
     dataset = _build(dict, root["dataset"], "dataset", _DATASET, required=())
@@ -182,7 +173,8 @@ def parse_config(raw: dict, base_dir: str | Path = ".") -> ExperimentConfig:
                                  {**_params(FeatureConfig), **_params(_features)})
     noise = _build(NoiseSpec, root["noise"], "noise") if "noise" in root else None
     train, subsets, losses, n_runs = _build(_train, root["train"], "train", _TRAIN)
-    losses = [_loss(item, f"train/losses/{i}") for i, item in enumerate(losses)]
+    losses = [_build(LossConfig, item, f"train/losses/{i}", required=("family",))
+              for i, item in enumerate(losses)]
     experiment_cells(subsets, losses)
     # output_dir, like every path in the file, is relative to the file.
     base_dir = Path(base_dir)

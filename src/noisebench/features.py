@@ -31,26 +31,17 @@ class FeatureConfig:
     fft_size: int = 2048
     hop: int = 1024
     n_mels: int = 96
-    fmin: float = 0.0
-    fmax: float | None = None  # defaults to sample_rate / 2
-    log_floor: float = 1e-10
     patch_seconds: float = 2.0
 
     def __post_init__(self):
-        if self.fmax is None:
-            object.__setattr__(self, "fmax", self.sample_rate / 2)
         if self.sample_rate <= 0:
             raise ConfigError("sample_rate must be positive")
         if self.fft_size < 2:
             raise ConfigError("fft_size must be >= 2")
         if not 1 <= self.hop <= self.fft_size:
             raise ConfigError("hop must satisfy 1 <= hop <= fft_size")
-        if not 0 <= self.fmin < self.fmax <= self.sample_rate / 2:
-            raise ConfigError("need 0 <= fmin < fmax <= sample_rate / 2")
         if self.n_mels < 1:
             raise ConfigError("n_mels must be >= 1")
-        if self.log_floor <= 0:
-            raise ConfigError("log_floor must be positive")
         if not math.isfinite(self.patch_seconds):
             raise ConfigError(f"patch_seconds must be finite, got {self.patch_seconds}")
         if self.patch_frames < 1:
@@ -139,12 +130,13 @@ def mel_to_hz(mel):
 def mel_filterbank(cfg: FeatureConfig) -> np.ndarray:
     """Triangular mel filterbank, shape (n_mels, fft_size // 2 + 1).
 
-    Filter centers are equally spaced on the mel scale between fmin and
-    fmax; each filter rises linearly from its left edge to a peak of 1 at
-    its center and falls to zero at its right edge. Built once per config
-    and shared, so the returned array is read-only.
+    Filter centers are equally spaced on the mel scale between 0 Hz and
+    sample_rate / 2; each filter rises linearly from its left edge to a
+    peak of 1 at its center and falls to zero at its right edge. Built once
+    per config and shared, so the returned array is read-only.
     """
-    edges_hz = mel_to_hz(np.linspace(mel_scale(cfg.fmin), mel_scale(cfg.fmax), cfg.n_mels + 2))
+    edges_hz = mel_to_hz(np.linspace(mel_scale(0.0), mel_scale(cfg.sample_rate / 2),
+                                     cfg.n_mels + 2))
     bin_hz = np.fft.rfftfreq(cfg.fft_size, d=1.0 / cfg.sample_rate)
     lower, center, upper = edges_hz[:-2, None], edges_hz[1:-1, None], edges_hz[2:, None]
     rising = (bin_hz - lower) / (center - lower)
@@ -160,12 +152,16 @@ def mel_filterbank(cfg: FeatureConfig) -> np.ndarray:
     return weights
 
 
+# Mel power below this is raised to it before the log.
+LOG_FLOOR = 1e-10
+
+
 def extract_logmel(clip: AudioClip, cfg: FeatureConfig) -> LogMelMatrix:
-    """Natural-log mel spectrogram, floored at log(log_floor)."""
+    """Natural-log mel spectrogram, floored at log(LOG_FLOOR)."""
     # One dense product over the whole matrix: per-block products round
     # differently in the last bit.
     values = mel_filterbank(cfg) @ stft_power(clip, cfg)
-    np.maximum(values, cfg.log_floor, out=values)
+    np.maximum(values, LOG_FLOOR, out=values)
     np.log(values, out=values)
     return LogMelMatrix(values, clip.clip_id, cfg.frame_rate)
 

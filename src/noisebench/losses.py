@@ -39,13 +39,10 @@ class LossFamily(str, enum.Enum):
     MASK_STAT = "mask_stat"
 
 
-# The hyperparameter each robust family reads, and the LossConfig fields
-# each family reads: cce its family alone, a robust family its
-# hyperparameter and ``selective`` too.
-_PARAMETER = {LossFamily.SOFT: "beta", LossFamily.LQ: "q",
-              LossFamily.MASK_MAX: "m", LossFamily.MASK_STAT: "l"}
-FAMILY_KEYS = {LossFamily.CCE: ("family",),
-               **{family: ("family", name, "selective") for family, name in _PARAMETER.items()}}
+# Each robust family's one hyperparameter and its default. cce reads no
+# field but ``family``; a robust family reads its parameter and ``selective``.
+_PARAMETER = {LossFamily.SOFT: ("beta", 0.3), LossFamily.LQ: ("q", 0.7),
+              LossFamily.MASK_MAX: ("m", 0.5), LossFamily.MASK_STAT: ("l", 1.9)}
 
 
 def check_parameter(name: str, value: float) -> None:
@@ -66,24 +63,35 @@ def check_parameter(name: str, value: float) -> None:
 class LossConfig:
     """Loss family selector with its hyperparameter.
 
-    Only the parameter belonging to ``family`` is read: ``beta`` for soft
+    A family holds only the fields it reads: ``beta`` for soft
     bootstrapping, ``q`` for the lq loss, ``m`` for max-relative masking,
-    ``l`` for statistics-based masking; all four must be in range. With
+    ``l`` for statistics-based masking, each with ``selective``; cce holds
+    none of them. A field left None takes the family's default (False for
+    ``selective``), and one the family does not read must stay None. With
     ``selective`` set, clean-origin samples always contribute plain
     cross-entropy and only noisy-origin samples get the robust treatment
     (or are eligible for discarding).
     """
 
     family: LossFamily = LossFamily.CCE
-    beta: float = 0.3
-    q: float = 0.7
-    m: float = 0.5
-    l: float = 1.9
-    selective: bool = False
+    beta: float | None = None
+    q: float | None = None
+    m: float | None = None
+    l: float | None = None
+    selective: bool | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "family", LossFamily(self.family))
-        for name in _PARAMETER.values():
+        family = LossFamily(self.family)
+        object.__setattr__(self, "family", family)
+        name, default = _PARAMETER.get(family, (None, None))
+        own = {name: default, "selective": False} if name else {}
+        for key in ("beta", "q", "m", "l", "selective"):
+            value = getattr(self, key)
+            if value is None and key in own:
+                object.__setattr__(self, key, own[key])
+            elif value is not None and key not in own:
+                raise ConfigError(f"the {family.value} family reads no key {key!r}")
+        if name:
             check_parameter(name, getattr(self, name))
 
     def label(self) -> str:
@@ -91,7 +99,7 @@ class LossConfig:
         The parameter is printed with ``:g`` when that reads back as the
         same value, and in full otherwise, so distinct values get distinct
         names."""
-        name = _PARAMETER.get(self.family)
+        name, _ = _PARAMETER.get(self.family, (None, None))
         suffix = ""
         if name:
             value = getattr(self, name)

@@ -163,10 +163,10 @@ class Standardizer:
                    np.maximum(std, 1e-8).astype(np.float32))
 
     def apply(self, patches: np.ndarray) -> np.ndarray:
-        """Standardised copy of patches; the input is left unchanged."""
-        out = np.subtract(patches, self.mean[None, None, :, None])
-        out /= self.std[None, None, :, None]
-        return out
+        """Standardises patches in place and returns them."""
+        patches -= self.mean[None, None, :, None]
+        patches /= self.std[None, None, :, None]
+        return patches
 
 
 def stratified_val_split(
@@ -404,9 +404,8 @@ def run_single(
     test_set = build_patchset(test_records, features, feat_cfg, k)
 
     standardizer = Standardizer.fit(train_set.x)
-    train_set.x = standardizer.apply(train_set.x)
-    val_set.x = standardizer.apply(val_set.x)
-    test_set.x = standardizer.apply(test_set.x)
+    for patchset in (train_set, val_set, test_set):
+        standardizer.apply(patchset.x)
 
     network = build_baseline(
         train_set.x.shape[2], train_set.x.shape[3], k,

@@ -15,11 +15,12 @@ import pytest
 from noisebench import cli
 from noisebench.audio_io import AudioClip, read_wav, write_wav
 from noisebench.cli import main
-from noisebench.config import experiment_cells, load_config
+from noisebench.config import experiment_cells, load_config, parse_config
 from noisebench.datasets import Origin, Split, Subset, gen_synthetic_dataset
 from noisebench.errors import ConfigError
-from noisebench.features import extract_logmel, feature_cache_path, load_feature_cache
-from noisebench.losses import FAMILY_KEYS, LossConfig
+from noisebench.features import (FeatureConfig, extract_logmel, feature_cache_path,
+                                 load_feature_cache)
+from noisebench.losses import LossConfig, LossFamily
 
 
 def base_config(tmp_path, **overrides):
@@ -85,8 +86,11 @@ class TestParsing:
         ):
             for v in values:
                 losses.append(LossConfig(family=family, **{key: v}))
-        cells = experiment_cells(subsets, losses)
-        assert len(cells) == 28
+        names = [name for name, _, _ in experiment_cells(subsets, losses)]
+        labels = ["cce", "soft_b0.3", "soft_b0.7", "lq_q0.5", "lq_q0.7", "mask_max_m0.5",
+                  "mask_max_m0.6", "mask_stat_l1.9", "mask_stat_l2"]
+        assert names == [f"{subset}_{label}" for subset in ("all", "noisy", "noisy_small")
+                         for label in labels] + ["clean_cce"]
 
     def test_batch_size_one_is_a_config_error(self, tmp_path, capsys):
         path, cfg = base_config(tmp_path)
@@ -110,7 +114,7 @@ class TestParsing:
         assert cfg.n_runs == 2
         assert cfg.losses == [LossConfig()]
         assert cfg.train.loss == LossConfig()  # its own default; each cell sets its loss
-        assert cfg.features.fmax == 1000.0
+        assert cfg.features == FeatureConfig(sample_rate=2000, fft_size=128, hop=64, n_mels=16)
 
     @pytest.mark.parametrize("section,key", [
         ("train", "batch_size"), ("features", "n_mels"), ("train", "max_epochs"),
@@ -194,7 +198,7 @@ DROP = object()  # a mutation value that deletes the key
 
 # Every key of the config document: its path, its JSON kind, values just
 # inside its range and values just outside it. Against the base document
-# above: sample_rate 2000 (so fmax <= 1000), fft_size 128, hop 64; with the
+# above: sample_rate 2000, fft_size 128, hop 64; with the
 # changes _BASES lists for the key, if any.
 _FIELDS = [
     (("dataset", "manifest"), "string", [], ["m.csv"]),  # synthetic is already there
@@ -210,9 +214,6 @@ _FIELDS = [
     (("features", "fft_size"), "integer", [64, 129], [63]),
     (("features", "hop"), "integer", [1, 128], [0, 129]),
     (("features", "n_mels"), "integer", [1], [0]),
-    (("features", "fmin"), "number", [0, 999.5], [-0.5, 1000]),
-    (("features", "fmax"), "number", [0.5, 1000], [0, 1000.5]),
-    (("features", "log_floor"), "number", [1e-300], [0, -1]),
     (("features", "patch_seconds"), "number", [0.02], [0, 0.01]),
     (("features", "cache_dir"), "string", ["cache"], []),
     *[(("noise", key), "number", [0, 1], [-0.01, 1.01])
@@ -305,6 +306,11 @@ def _corpus():
     for value in (False, "true", 1, [True], None):
         add({("train", "losses", 0, "soft_full_gradient"): value}, "train/losses/0",
             "soft_full_gradient")
+    # The mel band edges and the log floor are fixed, so a config that still
+    # sets them, even to the fixed values, fails instead of being ignored.
+    for key in ("fmin", "fmax", "log_floor"):
+        for value in (0, 50.0, 1000.0, 1e-10, "x", None):
+            add({("features", key): value}, "features", key)
     for keys in [("dataset",), ("features",), ("train",), ("output_dir",),
                  *[("dataset", "synthetic", k) for k in
                    ("n_classes", "clips_per_class", "clean_fraction", "sample_rate", "seed")],
@@ -407,8 +413,20 @@ class TestRejectionParity:
         fields = {keys[2] for keys, *_ in _FIELDS if keys[:2] == ("dataset", "synthetic")}
         assert fields == set(inspect.signature(gen_synthetic_dataset).parameters)
 
-    def test_each_loss_entry_accepts_the_keys_its_family_reads(self):
-        accepted = {family.value: set(keys) for family, keys in FAMILY_KEYS.items()}
+    def test_each_loss_entry_accepts_the_keys_its_family_reads(self, tmp_path):
+        _, doc = base_config(tmp_path)
+        values = {"beta": 0.5, "q": 0.5, "m": 0.5, "l": 0.5, "selective": False}
+        accepted = {}
+        for family in LossFamily:
+            accepted[family.value] = {"family"}
+            for key, value in values.items():
+                doc["train"]["losses"] = [{"family": family.value, key: value}]
+                try:
+                    parse_config(doc, tmp_path)
+                except ConfigError as exc:
+                    assert f"the {family.value} family reads no key {key!r}" in str(exc)
+                else:
+                    accepted[family.value].add(key)
         assert accepted == {"cce": {"family"}, "soft": {"family", "beta", "selective"},
                             "lq": {"family", "q", "selective"},
                             "mask_max": {"family", "m", "selective"},
@@ -467,7 +485,8 @@ class TestSynthData:
         assert (out / "manifest.csv").exists()
         wavs = list((out / "audio").glob("*.wav"))
         assert len(wavs) == len(cfg_records(cfg))
-        assert list((out / "distractors").glob("*.wav"))
+        # No distractor WAVs: a manifest config could not read them back.
+        assert sorted(p.name for p in out.iterdir()) == ["audio", "manifest.csv"]
 
 
 def cfg_records(cfg):
@@ -897,9 +916,8 @@ class TestTheKeyIsTheInput:
         self._assert_fresh(seen, [read_wav(out / "audio" / n, n) for n in ("a/x.wav", "b/x.wav")],
                            path)
 
-    @pytest.mark.parametrize("changes", [{"fft_size": 256}, {"fmin": 50.0}, {"fmax": 900.0},
-                                         {"log_floor": 1e-3}, {"sample_rate": 4000, "hop": 128}],
-                             ids=["fft_size", "fmin", "fmax", "log_floor", "sample_rate+hop"])
+    @pytest.mark.parametrize("changes", [{"fft_size": 256}, {"sample_rate": 4000, "hop": 128}],
+                             ids=["fft_size", "sample_rate+hop"])
     def test_a_change_the_header_does_not_show(self, tmp_path, capsys, changes):
         path, cfg = base_config(tmp_path)
         cfg["features"]["cache_dir"] = str(tmp_path / "cache")
@@ -980,6 +998,18 @@ class TestInjectNoise:
     def test_missing_noise_section_is_a_config_error(self, tmp_path):
         path, _ = base_config(tmp_path)
         assert main(["inject-noise", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("command", ["inject-noise", "run"])
+    @pytest.mark.parametrize("key", ["p_incorrect_oov", "p_incomplete_oov", "p_density"])
+    def test_distractor_noise_on_a_manifest_is_a_data_error(self, on_disk_dataset, capsys,
+                                                            command, key):
+        # Only a dataset.synthetic config comes with distractor clips to
+        # append or mix in; synth-data writes none beside its manifest.
+        path, cfg, _ = on_disk_dataset
+        cfg["noise"] = {key: 0.1, "seed": 1}
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main([command, "--config", str(path)]) == 2
+        assert "distractor pool is empty" in capsys.readouterr().err
 
     def test_fname_that_leaves_the_output_is_a_data_error(self, on_disk_dataset, capsys):
         # Read from audio/sub, ../../escaped.wav is out/escaped.wav; written

@@ -313,8 +313,9 @@ class TestLossConfigLabel:
 
     def test_every_field_a_family_reads_changes_the_label(self):
         # Cell files are named by the label, so two configs that train
-        # differently must not share one. Losses 0.1 ... 8 spread across
-        # every threshold below; clean and noisy samples alternate.
+        # differently must not share one. Each family is built with only
+        # the fields it holds. Losses 0.1 ... 8 spread across every
+        # threshold below; clean and noisy samples alternate.
         losses = np.linspace(0.1, 8.0, 16)
         p_true = np.exp(-losses)
         probs = np.column_stack([p_true] + [(1.0 - p_true) / 3] * 3)
@@ -325,9 +326,10 @@ class TestLossConfigLabel:
         names = [f.name for f in fields(LossConfig) if f.name != "family"]
         read = set()
         for family in LossFamily:
-            cfg = LossConfig(family=family, **base)
+            held = [name for name in names if getattr(LossConfig(family=family), name) is not None]
+            cfg = LossConfig(family=family, **{name: base[name] for name in held if name in base})
             total, grads = selective_batch_loss(probs, targets, origins, cfg)
-            for name in names:
+            for name in held:
                 value = getattr(cfg, name)
                 changed = replace(cfg, **{name: not value if isinstance(value, bool)
                                           else other[name]})
@@ -336,3 +338,39 @@ class TestLossConfigLabel:
                     read.add(name)
                     assert changed.label() != cfg.label(), (family, name)
         assert read == set(names)  # every field is read by some family
+
+
+class TestLossConfigFields:
+    """A LossConfig holds only the fields its family reads, whether it is
+    built in Python or from a config file."""
+
+    def test_each_family_holds_its_own_defaults_and_nothing_else(self):
+        held = {}
+        for family in LossFamily:
+            values = {f.name: getattr(LossConfig(family=family), f.name)
+                      for f in fields(LossConfig) if f.name != "family"}
+            held[family.value] = {name: v for name, v in values.items() if v is not None}
+        assert held == {"cce": {}, "soft": {"beta": 0.3, "selective": False},
+                        "lq": {"q": 0.7, "selective": False},
+                        "mask_max": {"m": 0.5, "selective": False},
+                        "mask_stat": {"l": 1.9, "selective": False}}
+
+    def test_selective_cce_is_an_error_not_a_second_cell(self):
+        # It named a cell all_cce_sel that trained the networks of all_cce.
+        with pytest.raises(ConfigError, match="the cce family reads no key 'selective'"):
+            LossConfig(selective=True)
+        with pytest.raises(ConfigError, match="the cce family reads no key 'selective'"):
+            LossConfig(family="cce", selective=False)
+
+    @pytest.mark.parametrize("family,key", [
+        (family.value, key) for family in LossFamily for key in ("beta", "q", "m", "l")
+        if (family.value, key) not in {("soft", "beta"), ("lq", "q"), ("mask_max", "m"),
+                                       ("mask_stat", "l")}])
+    def test_another_familys_parameter_names_the_family_and_the_key(self, family, key):
+        # In range for every family, so only the family rule can reject it.
+        with pytest.raises(ConfigError, match=f"the {family} family reads no key '{key}'"):
+            LossConfig(family=family, **{key: 0.5})
+
+    def test_another_family_is_not_a_replace_away(self):
+        with pytest.raises(ConfigError, match="the lq family reads no key 'beta'"):
+            replace(LossConfig(family="soft"), family="lq")
