@@ -44,9 +44,7 @@ def _load_dataset(cfg: config_mod.ExperimentConfig, decode: bool = True):
     records; with ``decode`` False, a manifest's clips are its WAVs' paths."""
     if "synthetic" in cfg.dataset:
         return gen_synthetic_dataset(**cfg.dataset["synthetic"])
-    manifest = load_manifest(
-        cfg.resolve(cfg.dataset["manifest"]), cfg.resolve(cfg.dataset["audio_root"])
-    )
+    manifest = load_manifest(cfg.dataset["manifest"], cfg.dataset["audio_root"])
     clips = [read_wav(manifest.audio_path(rec), rec.clip_id) if decode
              else manifest.audio_path(rec) for rec in manifest.records]
     return clips, manifest, []
@@ -54,7 +52,7 @@ def _load_dataset(cfg: config_mod.ExperimentConfig, decode: bool = True):
 
 def _cache_dir(cfg: config_mod.ExperimentConfig) -> Path:
     """The config's cache_dir, else ``features`` under the output directory."""
-    return cfg.resolve(cfg.cache_dir) if cfg.cache_dir else cfg.output_dir / "features"
+    return cfg.cache_dir or cfg.output_dir / "features"
 
 
 def cmd_synth_data(cfg: config_mod.ExperimentConfig, args) -> int:

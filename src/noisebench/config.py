@@ -16,7 +16,7 @@ import inspect
 import json
 import math
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .datasets import Subset, check_synthetic, gen_synthetic_dataset
@@ -29,26 +29,23 @@ from .training import TrainConfig, check_n_runs
 
 @dataclass
 class ExperimentConfig:
+    """A parsed config, its paths resolved against the config file's directory."""
+
     dataset: dict
     features: FeatureConfig
-    cache_dir: str | None
+    cache_dir: Path | None
     noise: NoiseSpec | None
     train: TrainConfig
     subsets: list[Subset]
     losses: list[LossConfig]
     n_runs: int
     output_dir: Path
-    base_dir: Path = field(default_factory=Path)
-
-    def resolve(self, path: str) -> Path:
-        """Paths in a config file are taken relative to the file itself."""
-        return self.base_dir / path
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8-sig"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
@@ -176,10 +173,12 @@ def parse_config(raw: dict, base_dir: str | Path = ".") -> ExperimentConfig:
     losses = [_build(LossConfig, item, f"train/losses/{i}", required=("family",))
               for i, item in enumerate(losses)]
     experiment_cells(subsets, losses)
-    # output_dir, like every path in the file, is relative to the file.
+    # Every path in the file is relative to the file.
     base_dir = Path(base_dir)
-    return ExperimentConfig(dataset, features, cache_dir, noise, train, subsets, losses, n_runs,
-                            base_dir / root["output_dir"], base_dir)
+    dataset.update((key, base_dir / dataset[key]) for key in ("manifest", "audio_root")
+                   if key in dataset)
+    return ExperimentConfig(dataset, features, base_dir / cache_dir if cache_dir else None,
+                            noise, train, subsets, losses, n_runs, base_dir / root["output_dir"])
 
 
 def experiment_cells(

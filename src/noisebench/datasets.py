@@ -1,11 +1,11 @@
 """Dataset manifests, training-subset selection, and synthetic audio generation.
 
-The manifest format is a UTF-8 CSV with header columns
-``fname,label,manually_verified,split`` (an optional ``noisy_small`` column
-marks a pre-defined noisy_small subset). ``manually_verified`` is 1 for
-human-verified (clean) labels and 0 for labels inferred from user tags
-(noisy). Audio is addressed as ``audio_root/fname`` and must be mono 16-bit
-PCM WAV.
+The manifest format is a UTF-8 CSV, with or without a byte-order mark, with
+header columns ``fname,label,manually_verified,split``. ``manually_verified``
+is 1 for human-verified (clean) labels and 0 for labels inferred from user
+tags (noisy). An optional ``noisy_small`` column, 0 or 1 too, marks a
+pre-defined noisy_small subset, which holds noisy rows only. Audio is
+addressed as ``audio_root/fname`` and must be mono 16-bit PCM WAV.
 """
 
 from __future__ import annotations
@@ -85,13 +85,13 @@ def load_manifest(path: str | Path, audio_root: str | Path) -> DatasetManifest:
     path = Path(path)
     if not path.exists():
         raise ManifestError(f"manifest file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         for col in _REQUIRED_COLUMNS:
             if col not in header:
                 raise ManifestError(f"{path}: missing required column {col!r}")
-        has_marker = "noisy_small" in header
+        flags = [col for col in ("manually_verified", "noisy_small") if col in header]
         rows = list(reader)
 
     train_labels = sorted({row["label"] for row in rows if row["split"] == "train"})
@@ -116,12 +116,16 @@ def load_manifest(path: str | Path, audio_root: str | Path) -> DatasetManifest:
             split = Split(row["split"])
         except ValueError:
             raise ManifestError(f"{path}:{lineno}: unknown split {row['split']!r}") from None
-        if row["manually_verified"] not in ("0", "1"):
-            raise ManifestError(
-                f"{path}:{lineno}: manually_verified must be 0 or 1, "
-                f"got {row['manually_verified']!r}"
-            )
+        for col in flags:
+            if row[col] not in ("0", "1"):
+                raise ManifestError(f"{path}:{lineno}: {col} must be 0 or 1, got {row[col]!r}")
         origin = Origin.CLEAN if row["manually_verified"] == "1" else Origin.NOISY
+        noisy_small = row.get("noisy_small") == "1"
+        if noisy_small and origin is Origin.CLEAN:
+            raise ManifestError(
+                f"{path}:{lineno}: noisy_small marks {fname!r}, which is manually verified; "
+                "the noisy_small subset holds noisy rows only"
+            )
         if split is Split.TEST:
             if origin is not Origin.CLEAN:
                 raise ManifestError(
@@ -138,7 +142,7 @@ def load_manifest(path: str | Path, audio_root: str | Path) -> DatasetManifest:
                 class_index=class_of[row["label"]],
                 origin=origin,
                 split=split,
-                noisy_small=has_marker and row["noisy_small"] == "1",
+                noisy_small=noisy_small,
             )
         )
 

@@ -47,6 +47,7 @@ class FeatureConfig:
         if self.patch_frames < 1:
             raise ConfigError(f"patch_seconds {self.patch_seconds} rounds to 0 frames at "
                               f"sample_rate / hop = {self.sample_rate} / {self.hop}")
+        _mel_edges(self)  # no mel filter may be empty
 
     @property
     def frame_rate(self) -> float:
@@ -126,6 +127,27 @@ def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
+def _mel_edges(cfg: FeatureConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The n_mels + 2 filter edges in Hz, equally spaced on the mel scale
+    between 0 Hz and sample_rate / 2, and the FFT bin frequencies. A filter
+    with no bin strictly between its outer edges would be all zeros, which
+    is a ConfigError. ``FeatureConfig`` runs this check when it is made:
+    building the filterbank there would allocate and cache its matrix in
+    every process that makes a config."""
+    edges_hz = mel_to_hz(np.linspace(mel_scale(0.0), mel_scale(cfg.sample_rate / 2),
+                                     cfg.n_mels + 2))
+    bin_hz = np.fft.rfftfreq(cfg.fft_size, d=1.0 / cfg.sample_rate)
+    inside = (np.searchsorted(bin_hz, edges_hz[2:], "left")
+              - np.searchsorted(bin_hz, edges_hz[:-2], "right"))
+    empty = np.flatnonzero(inside <= 0)
+    if empty.size:
+        raise ConfigError(
+            f"mel filter {empty[0]} has empty support; reduce n_mels or "
+            "increase fft_size"
+        )
+    return edges_hz, bin_hz
+
+
 @functools.lru_cache(maxsize=8)
 def mel_filterbank(cfg: FeatureConfig) -> np.ndarray:
     """Triangular mel filterbank, shape (n_mels, fft_size // 2 + 1).
@@ -135,19 +157,11 @@ def mel_filterbank(cfg: FeatureConfig) -> np.ndarray:
     peak of 1 at its center and falls to zero at its right edge. Built once
     per config and shared, so the returned array is read-only.
     """
-    edges_hz = mel_to_hz(np.linspace(mel_scale(0.0), mel_scale(cfg.sample_rate / 2),
-                                     cfg.n_mels + 2))
-    bin_hz = np.fft.rfftfreq(cfg.fft_size, d=1.0 / cfg.sample_rate)
+    edges_hz, bin_hz = _mel_edges(cfg)
     lower, center, upper = edges_hz[:-2, None], edges_hz[1:-1, None], edges_hz[2:, None]
     rising = (bin_hz - lower) / (center - lower)
     falling = (upper - bin_hz) / (upper - center)
     weights = np.maximum(0.0, np.minimum(rising, falling))
-    empty = np.flatnonzero(weights.max(axis=1) <= 0.0)
-    if empty.size:
-        raise ConfigError(
-            f"mel filter {empty[0]} has empty support; reduce n_mels or "
-            "increase fft_size"
-        )
     weights.flags.writeable = False
     return weights
 

@@ -217,12 +217,11 @@ class Conv2d(Layer):
         self.bias = Param(f"{name}.bias", np.zeros(out_channels, dtype),
                           np.zeros(out_channels, dtype))
 
-    def _lowered(self, h, w):
-        """The unpooled output height and width of an h x w input, which are
-        the input's, and the column elements one sample of it builds:
-        h * w * kh * kw * C."""
+    def _column_size(self, h, w):
+        """The column elements one h x w sample builds, h * w * kh * kw * C:
+        the padding is 'same', so its unpooled output is h x w too."""
         _, c, kh, kw = self.weight.value.shape
-        return h, w, h * w * kh * kw * c
+        return h * w * kh * kw * c
 
     def _slices(self, shape, dtype):
         """The (start, stop) batch ranges of the slices of an NHWC input
@@ -230,7 +229,7 @@ class Conv2d(Layer):
         buffer, each for one slice."""
         b, h, wd, c = shape
         p = self.pad
-        sample = self._lowered(h, wd)[2]
+        sample = self._column_size(h, wd)
         n = samples_per_slice(sample * np.dtype(dtype).itemsize, b)
         buf = np.zeros((min(n, b), h + 2 * p, wd + 2 * p, c), dtype=dtype)
         cols = np.empty(min(n, b) * sample, dtype=dtype)
@@ -298,8 +297,7 @@ class Conv2d(Layer):
         w = self.weight.value
         f, _, kh, kw = w.shape
         q, p = self.pool_size, self.pad
-        b, h, wd, _ = shape
-        ho, wo, _ = self._lowered(h, wd)
+        b, ho, wo, _ = shape
         slices, buf, cols = self._slices(shape, in_dtype)
         w_mat = w.transpose(2, 3, 1, 0).reshape(-1, f)
         dtype = np.result_type(in_dtype, w)
@@ -325,7 +323,7 @@ class Conv2d(Layer):
             if len(slices) != 1:
                 self._cache = (shape, in_dtype, src, None, offsets)
             else:
-                mask = xs[:, p : p + h, p : p + wd] > 0 if isinstance(src, BatchNorm) else None
+                mask = xs[:, p : p + ho, p : p + wo] > 0 if isinstance(src, BatchNorm) else None
                 self._cache = (shape, in_dtype, None, (rows, mask), offsets)
         return out
 
@@ -334,8 +332,7 @@ class Conv2d(Layer):
         w = self.weight.value
         f, c, kh, kw = w.shape
         q, p = self.pool_size, self.pad
-        b, h, wd, _ = shape
-        ho, wo, _ = self._lowered(h, wd)
+        b, ho, wo, _ = shape
         if kept is None:
             slices, buf, cols = self._slices(shape, in_dtype)
             n, mask = len(buf), None
@@ -345,8 +342,8 @@ class Conv2d(Layer):
         # gradient summed in a zeroed padded slice, whose interior is written
         # into dx.
         g_buf = np.empty((n * ho * wo, f), dtype=grad.dtype)
-        acc = np.zeros((n, h + 2 * p, wd + 2 * p, c), dtype=grad.dtype)
-        interior = (slice(None), slice(p, p + h), slice(p, p + wd))
+        acc = np.zeros((n, ho + 2 * p, wo + 2 * p, c), dtype=grad.dtype)
+        interior = (slice(None), slice(p, p + ho), slice(p, p + wo))
         dx = np.empty(shape, dtype=grad.dtype)
         for s, e in slices:
             g = g_buf[: (e - s) * ho * wo]
@@ -689,8 +686,7 @@ def im2col_bytes(layers: list[Layer], height: int, width: int, itemsize: int) ->
     peak = 0
     for layer in layers:
         if isinstance(layer, Conv2d):
-            height, width, sample = layer._lowered(height, width)
-            peak = max(peak, sample * itemsize)
+            peak = max(peak, layer._column_size(height, width) * itemsize)
             height, width = height // layer.pool_size, width // layer.pool_size
     return peak
 

@@ -147,6 +147,9 @@ def _mix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.astype(np.float32)
 
 
+# The types that draw one distractor from the pool, right after the type.
+_DISTRACTOR_TYPES = (NoiseType.INCORRECT_OOV, NoiseType.INCOMPLETE_OOV, NoiseType.DENSITY)
+
 # Appended distractor audio gets a margin beyond the two-patch minimum so a
 # full patch stays inside it even after STFT framing at the junction.
 _DENSITY_PATCHES = 2.0
@@ -180,9 +183,7 @@ def inject_noise(
                 "noisy-origin records may be corrupted"
             )
     probs = spec.probabilities()
-    needs_pool = probs[NoiseType.INCORRECT_OOV] > 0 or probs[NoiseType.INCOMPLETE_OOV] > 0
-    needs_pool = needs_pool or probs[NoiseType.DENSITY] > 0
-    if needs_pool and not distractor_pool:
+    if not distractor_pool and any(probs[t] > 0 for t in _DISTRACTOR_TYPES):
         raise DataError("distractor pool is empty but an OOV or density probability is set")
 
     types = list(probs)
@@ -207,16 +208,15 @@ def inject_noise(
         new_clip, new_rec = clip, rec
         original_label: int | None = rec.class_index
         sources: tuple[str, ...] = ()
+        if noise_type in _DISTRACTOR_TYPES:
+            d = distractor_pool[rng.integers(len(distractor_pool))]
+            sources = (d.clip_id,)
 
         if noise_type is NoiseType.INCORRECT_OOV:
-            d = distractor_pool[rng.integers(len(distractor_pool))]
             new_clip = AudioClip(d.samples.copy(), d.sample_rate, rec.clip_id)
             original_label = None
-            sources = (d.clip_id,)
         elif noise_type is NoiseType.INCOMPLETE_OOV:
-            d = distractor_pool[rng.integers(len(distractor_pool))]
             new_clip = AudioClip(_mix(clip.samples, d.samples), clip.sample_rate, rec.clip_id)
-            sources = (d.clip_id,)
         elif noise_type is NoiseType.INCORRECT_IV:
             if n_classes < 2:
                 raise DataError(
@@ -241,7 +241,6 @@ def inject_noise(
             )
             sources = (other.clip_id,)
         elif noise_type is NoiseType.DENSITY:
-            d = distractor_pool[rng.integers(len(distractor_pool))]
             n_extra = int(
                 round((_DENSITY_PATCHES + _DENSITY_MARGIN) * patch_seconds * clip.sample_rate)
             )
@@ -254,7 +253,6 @@ def inject_noise(
             if peak > 1.0:
                 joined *= 0.9 / peak
             new_clip = AudioClip(joined.astype(np.float32), clip.sample_rate, rec.clip_id)
-            sources = (d.clip_id,)
 
         out_clips.append(new_clip)
         out_records.append(new_rec)

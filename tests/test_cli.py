@@ -162,6 +162,30 @@ class TestParsing:
         assert "config invalid at train: no cell to run" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["features", "run"])
+    def test_an_empty_mel_filter_is_a_config_error_at_load(self, tmp_path, capsys,
+                                                           monkeypatch, command):
+        # 60 filters over 33 bins at 4 kHz leave some filter without a bin:
+        # an error before any data is generated, naming the section.
+        path, cfg = base_config(tmp_path)
+        cfg["features"].update(sample_rate=4000, fft_size=64, hop=32, n_mels=60)
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        calls = []
+        monkeypatch.setattr(cli, "gen_synthetic_dataset", lambda **kw: calls.append(kw))
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "config invalid at features: mel filter " in err
+        assert "has empty support" in err
+        assert calls == [] and not (tmp_path / "out").exists()
+
+    def test_a_config_with_a_byte_order_mark_loads(self, tmp_path):
+        # Windows editors may save UTF-8 with a byte-order mark.
+        path, cfg = base_config(tmp_path)
+        marked = tmp_path / "marked.json"
+        marked.write_text(json.dumps(cfg), encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_config(marked) == load_config(path)
+
     def test_output_dir_is_relative_to_the_config_file(self, tmp_path, monkeypatch):
         _, cfg = base_config(tmp_path)
         cfg["output_dir"] = "results"
@@ -177,6 +201,30 @@ class TestParsing:
         # --output names a directory from the command line: relative to the caller.
         assert main(["synth-data", "--config", str(path), "--output", "flagged"]) == 0
         assert (cwd / "flagged" / "manifest.csv").exists()
+
+    def test_manifest_paths_are_relative_to_the_config_file(self, tmp_path, monkeypatch,
+                                                           capsys):
+        synth_path, cfg = base_config(tmp_path)
+        assert main(["synth-data", "--config", str(synth_path)]) == 0
+        here = tmp_path / "configs"
+        (tmp_path / "out").rename(here)  # audio/ and manifest.csv beside the config
+        cfg["dataset"] = {"manifest": "manifest.csv", "audio_root": "audio"}
+        cfg["features"]["cache_dir"] = "cache"
+        cfg["output_dir"] = "results"
+        path = here / "exp.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        cwd = tmp_path / "elsewhere"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        n_clips = len(list((here / "audio").glob("*.wav")))
+        assert main(["features", "--config", str(path)]) == 0
+        assert f"{n_clips} computed" in capsys.readouterr().out
+        assert len(list((here / "cache").glob("*.lmf"))) == n_clips
+        assert main(["run", "--config", str(path)]) == 0
+        assert (here / "results" / "report_all_cce.csv").exists()
+        assert len(list((here / "cache").glob("*.lmf"))) == n_clips  # run read cache/
+        assert not (here / "results" / "features").exists()
+        assert list(cwd.iterdir()) == []
 
     def test_negative_seed_flag_is_a_config_error(self, tmp_path, capsys):
         path, _ = base_config(tmp_path)
@@ -240,8 +288,12 @@ _FIELDS = [
     (("train", "losses", 0, "m"), "number", [0, 1], [-0.01, 1.01]),
     (("train", "losses", 0, "l"), "number", [0, 100], [-0.01]),
     (("train", "losses", 0, "selective"), "boolean", [True, False], []),
-    (("output_dir",), "string", [], []),
+    (("output_dir",), "string", ["results"], []),
 ]
+
+# The keys that name a path, which parses relative to the config file.
+_PATH_KEYS = [("dataset", "manifest"), ("dataset", "audio_root"), ("features", "cache_dir"),
+              ("output_dir",)]
 
 # A key that only some documents hold is varied in one of them: audio_root
 # beside a manifest, each loss parameter and selective on a family that
@@ -318,7 +370,11 @@ def _corpus():
         place = "/".join(map(str, keys[:-1])) or "(root)"
         add({keys: DROP}, place, keys[-1], name=f"missing {'/'.join(map(str, keys))}")
     for changes, place, key, name in [
-        ({("features", "fft_size"): 2, ("features", "hop"): 2}, None, None, "fft_size=2"),
+        # Two bins, at 0 Hz and sample_rate / 2, leave most of 16 filters empty.
+        ({("features", "fft_size"): 2, ("features", "hop"): 2}, "features", "mel filter 0",
+         "fft_size=2"),
+        ({("features", "fft_size"): 3, ("features", "hop"): 3, ("features", "n_mels"): 1},
+         None, None, "fft_size=3"),
         ({("features", "fft_size"): 1, ("features", "hop"): 1}, "features", "fft_size",
          "fft_size=1"),
         ({("noise", "p_incorrect_oov"): 0.6, ("noise", "p_incomplete_oov"): 0.4}, None, None,
@@ -379,7 +435,7 @@ def _parsed(cfg, keys):
         value = getattr(cfg.losses[0], key)
     elif keys == ("features", "cache_dir"):
         value = cfg.cache_dir
-    elif keys in (("train", "n_runs"), ("train", "subsets")):
+    elif keys in (("train", "n_runs"), ("train", "subsets"), ("output_dir",)):
         value = getattr(cfg, key)
     else:
         value = getattr(getattr(cfg, section), key)
@@ -400,7 +456,8 @@ class TestRejectionParity:
             cfg = load_config(path)
             for keys, value in changes.items():
                 if value is not DROP and keys[-1] != "losses":
-                    assert _parsed(cfg, keys) == value
+                    expected = path.parent / value if keys in _PATH_KEYS else value
+                    assert _parsed(cfg, keys) == expected
             return
         assert main(["run", "--config", str(path)]) == 1
         err = capsys.readouterr().err

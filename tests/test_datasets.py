@@ -125,6 +125,34 @@ class TestLoadManifest:
         manifest = load_manifest(path, tmp_path)
         assert [r.noisy_small for r in manifest.records] == [False, True, False]
 
+    # Without the check, any value but '1' read as unmarked.
+    @pytest.mark.parametrize("value", ["yes", "", "2", "true", " 1"])
+    def test_noisy_small_must_be_0_or_1_naming_the_line(self, tmp_path, value):
+        path = tmp_path / "m.csv"
+        write_csv(path, ["a.wav,dog,1,train,0", f"b.wav,dog,0,train,{value}"],
+                  header="fname,label,manually_verified,split,noisy_small")
+        with pytest.raises(ManifestError,
+                           match=rf"m\.csv:3: noisy_small must be 0 or 1, got '{value}'"):
+            load_manifest(path, tmp_path)
+
+    # Without the check, a verified row marked 1 trained as part of noisy_small.
+    @pytest.mark.parametrize("row", ["a.wav,dog,1,train,1", "a.wav,dog,1,test,1"])
+    def test_a_verified_row_in_noisy_small_names_the_line(self, tmp_path, row):
+        path = tmp_path / "m.csv"
+        write_csv(path, ["b.wav,dog,0,train,1", row],
+                  header="fname,label,manually_verified,split,noisy_small")
+        with pytest.raises(ManifestError, match=r"m\.csv:3: noisy_small marks 'a\.wav', "
+                                                r"which is manually verified"):
+            load_manifest(path, tmp_path)
+
+    def test_a_manifest_with_a_byte_order_mark_loads(self, tmp_path):
+        # Excel's "CSV UTF-8" format starts the file with one.
+        rows = ["a.wav,dog,1,train", "b.wav,cat,0,train", "c.wav,dog,1,test"]
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_csv(plain, rows)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_manifest(marked, tmp_path) == load_manifest(plain, tmp_path)
+
 
 def make_manifest(n_clean=10, n_noisy=90, n_test=0):
     records = []

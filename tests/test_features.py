@@ -1,6 +1,7 @@
 """STFT, mel filterbank, log-mel extraction, and patch slicing."""
 
 import dataclasses
+import itertools
 import struct
 import tracemalloc
 
@@ -26,10 +27,10 @@ CFG = FeatureConfig(sample_rate=8000, fft_size=512, hop=256, n_mels=32)
 @pytest.mark.parametrize("seconds", [0.0, 0.015, float("inf"), float("nan")])
 def test_patch_seconds_must_give_a_whole_frame(seconds):
     # 0.015 s at 31.25 frames/s rounds to 0 frames; 0.02 s gives one.
-    assert FeatureConfig(sample_rate=2000, hop=64, fft_size=128,
+    assert FeatureConfig(sample_rate=2000, hop=64, fft_size=128, n_mels=16,
                          patch_seconds=0.02).patch_frames == 1
     with pytest.raises(ConfigError, match="patch_seconds"):
-        FeatureConfig(sample_rate=2000, hop=64, fft_size=128, patch_seconds=seconds)
+        FeatureConfig(sample_rate=2000, hop=64, fft_size=128, n_mels=16, patch_seconds=seconds)
 
 
 def clip_of(samples, sr=8000, clip_id="t"):
@@ -194,9 +195,38 @@ class TestMelFilterbank:
         with pytest.raises(ValueError):
             fb[0, 0] = 1.0
 
-    def test_too_many_filters_for_the_fft(self):
-        with pytest.raises(ConfigError, match="support"):
-            mel_filterbank(FeatureConfig(sample_rate=8000, fft_size=64, hop=32, n_mels=96))
+    @pytest.mark.parametrize("sample_rate,fft_size,n_mels", [
+        (8000, 64, 96), (4000, 64, 60), (2000, 2, 16)])
+    def test_too_many_filters_for_the_fft(self, sample_rate, fft_size, n_mels):
+        # The config itself is the error, before any filterbank is built.
+        with pytest.raises(ConfigError, match=r"mel filter \d+ has empty support"):
+            FeatureConfig(sample_rate=sample_rate, fft_size=fft_size, hop=fft_size,
+                          n_mels=n_mels)
+
+    def test_the_load_check_finds_the_first_all_zero_filter(self):
+        # The check reads bins between edges; the triangles built from the
+        # same edges must have an all-zero row exactly where it says.
+        for sample_rate, fft_size, n_mels in itertools.product(
+                (2000, 4000, 44100), range(8, 80, 9), range(1, 64, 3)):
+            edges = mel_to_hz(np.linspace(mel_scale(0.0), mel_scale(sample_rate / 2),
+                                          n_mels + 2))
+            bins = np.fft.rfftfreq(fft_size, d=1.0 / sample_rate)
+            lower, center, upper = edges[:-2, None], edges[1:-1, None], edges[2:, None]
+            rows = np.maximum(0.0, np.minimum((bins - lower) / (center - lower),
+                                              (upper - bins) / (upper - center)))
+            zero = np.flatnonzero(rows.max(axis=1) <= 0.0)
+            try:
+                FeatureConfig(sample_rate=sample_rate, fft_size=fft_size, hop=fft_size,
+                              n_mels=n_mels, patch_seconds=1.0)
+            except ConfigError as exc:
+                assert zero.size and f"mel filter {zero[0]} has" in str(exc)
+            else:
+                assert not zero.size
+
+    def test_a_config_builds_no_filterbank(self):
+        before = mel_filterbank.cache_info().misses
+        FeatureConfig(sample_rate=8000, fft_size=512, hop=256, n_mels=31)
+        assert mel_filterbank.cache_info().misses == before
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
