@@ -22,6 +22,7 @@ from pathlib import Path
 from .datasets import Subset, check_synthetic, gen_synthetic_dataset
 from .errors import ConfigError
 from .features import FeatureConfig
+from .layers import pooled_size
 from .losses import LossConfig, LossFamily
 from .noise import NoiseSpec
 from .training import TrainConfig, check_n_runs
@@ -50,6 +51,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: unreadable config file ({exc})") from None
     return parse_config(raw, base_dir=path.parent)
 
 
@@ -170,6 +173,10 @@ def parse_config(raw: dict, base_dir: str | Path = ".") -> ExperimentConfig:
                                  {**_params(FeatureConfig), **_params(_features)})
     noise = _build(NoiseSpec, root["noise"], "noise") if "noise" in root else None
     train, subsets, losses, n_runs = _build(_train, root["train"], "train", _TRAIN)
+    try:
+        pooled_size(features.n_mels, features.patch_frames, len(train.channels))
+    except ConfigError as exc:
+        raise _invalid("train/channels", exc) from exc
     losses = [_build(LossConfig, item, f"train/losses/{i}", required=("family",))
               for i, item in enumerate(losses)]
     experiment_cells(subsets, losses)

@@ -85,14 +85,17 @@ def load_manifest(path: str | Path, audio_root: str | Path) -> DatasetManifest:
     path = Path(path)
     if not path.exists():
         raise ManifestError(f"manifest file not found: {path}")
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in _REQUIRED_COLUMNS:
-            if col not in header:
-                raise ManifestError(f"{path}: missing required column {col!r}")
-        flags = [col for col in ("manually_verified", "noisy_small") if col in header]
-        rows = list(reader)
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or []
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ManifestError(f"{path}: unreadable manifest ({exc})") from None
+    for col in _REQUIRED_COLUMNS:
+        if col not in header:
+            raise ManifestError(f"{path}: missing required column {col!r}")
+    flags = [col for col in ("manually_verified", "noisy_small") if col in header]
 
     train_labels = sorted({row["label"] for row in rows if row["split"] == "train"})
     class_of = {name: i for i, name in enumerate(train_labels)}

@@ -180,22 +180,21 @@ class Conv2d(Layer):
     ``pool_size`` (see ``max_pool``; a size of 1 keeps every output).
     ``padding`` accepts "same" alone; it stays a parameter because every
     checkpoint header names it. Every pass runs one loop over batch slices
-    of at most COLS_BYTES of columns (see ``samples_per_slice``). Each
-    slice's input is written into the interior of a zeroed padded buffer of
-    one slice, its im2col columns are built from that buffer, and its
-    full-resolution output is computed and pooled before the next slice's,
-    so no padded copy, column matrix or unpooled output of the whole batch
-    is made. Training caches the pool's offsets and, when the batch is one
-    slice, its columns; otherwise it keeps what backward refills each
-    slice's buffer from: the caller's input array, or in a pre-activation
-    stage (``stage_forward``) the BatchNorm whose ReLU'd output fills it.
+    of at most COLS_BYTES of columns (see ``samples_per_slice``), each
+    filled and lowered to im2col columns by ``_lowered`` and its
+    full-resolution output computed and pooled before the next slice's, so
+    no padded copy, column matrix or unpooled output of the whole batch is
+    made. Training caches the pool's offsets and, when the batch is one
+    slice, its columns; otherwise it keeps what backward refills each slice
+    from: the caller's input array, or in a pre-activation stage
+    (``stage_forward``) the BatchNorm whose ReLU'd output fills it.
     Backward unpools each slice's output gradient, adds the slice's weight
     and bias gradients to the parameters', sums its input gradient in a
     zeroed padded slice and writes that slice's interior into the input
-    gradient, masked by the stage's ReLU where there is one; one slice keeps
-    that mask, one byte an input element, beside its columns. A one-channel
-    input lays its columns out transposed (see ``_columns``). Weights are
-    stored (out, in, kh, kw) whatever the activation layout."""
+    gradient, masked by the stage's ReLU where there is one, which it reads
+    off the slice's columns. A one-channel input lays its columns out
+    transposed (see ``_columns``). Weights are stored (out, in, kh, kw)
+    whatever the activation layout."""
 
     kind = "conv2d"
 
@@ -223,31 +222,32 @@ class Conv2d(Layer):
         _, c, kh, kw = self.weight.value.shape
         return h * w * kh * kw * c
 
-    def _slices(self, shape, dtype):
-        """The (start, stop) batch ranges of the slices of an NHWC input
-        ``shape``, and a zeroed padded input buffer and an empty column
-        buffer, each for one slice."""
+    def _lowered(self, src, shape, dtype):
+        """The samples in one slice of an NHWC input ``shape``, and an
+        iterator over the slices' (start, stop, columns). The zeroed padded
+        buffer and the column buffer of one slice are allocated now; each
+        slice's samples are written into the padded interior from ``src``,
+        an array or a stage's BatchNorm (see ``BatchNorm.activate``), and
+        lowered into the columns, which the next slice overwrites."""
         b, h, wd, c = shape
+        _, _, kh, kw = self.weight.value.shape
         p = self.pad
         sample = self._column_size(h, wd)
         n = samples_per_slice(sample * np.dtype(dtype).itemsize, b)
         buf = np.zeros((min(n, b), h + 2 * p, wd + 2 * p, c), dtype=dtype)
         cols = np.empty(min(n, b) * sample, dtype=dtype)
-        return [(s, min(s + n, b)) for s in range(0, b, n)], buf, cols
 
-    def _padded(self, src, buf, s, e):
-        """Samples s:e of the input written into the interior of buf's first
-        e - s samples, whose border stays zero, and returned padded: copied
-        from an array, or from the BatchNorm of a stage its ReLU'd output
-        (see ``BatchNorm.activate``)."""
-        p = self.pad
-        xs = buf[: e - s]
-        interior = xs[:, p : xs.shape[1] - p, p : xs.shape[2] - p]
-        if isinstance(src, BatchNorm):
-            src.activate(s, e, interior)
-        else:
-            interior[...] = src[s:e]
-        return xs
+        def lower():
+            for s in range(0, b, n):
+                e = min(s + n, b)
+                interior = buf[: e - s, p : p + h, p : p + wd]
+                if isinstance(src, BatchNorm):
+                    src.activate(s, e, interior)
+                else:
+                    interior[...] = src[s:e]
+                yield s, e, self._columns(buf[: e - s], kh, kw, cols)
+
+        return len(buf), lower()
 
     @staticmethod
     def _columns(xs, kh, kw, cols):
@@ -295,10 +295,9 @@ class Conv2d(Layer):
 
     def _forward(self, src, shape, in_dtype, train):
         w = self.weight.value
-        f, _, kh, kw = w.shape
-        q, p = self.pool_size, self.pad
+        f, q = w.shape[0], self.pool_size
         b, ho, wo, _ = shape
-        slices, buf, cols = self._slices(shape, in_dtype)
+        n, lowered = self._lowered(src, shape, in_dtype)
         w_mat = w.transpose(2, 3, 1, 0).reshape(-1, f)
         dtype = np.result_type(in_dtype, w)
         # The bias is added over rows of wo * F values, not rows of F: the
@@ -306,25 +305,23 @@ class Conv2d(Layer):
         bias_row = _widen(self.bias.value, wo)
         out = np.empty(pooled_shape((b, ho, wo, f), q, self.weight.name), dtype=dtype)
         offsets = pool_offsets(out.shape, q) if train else None
-        conv = np.empty((len(buf) * ho * wo, f), dtype=dtype)
-        for s, e in slices:
-            xs = self._padded(src, buf, s, e)
-            rows = self._columns(xs, kh, kw, cols)
+        conv = np.empty((n * ho * wo, f), dtype=dtype)
+        for s, e, rows in lowered:
             part = conv[: (e - s) * ho * wo]
             np.matmul(rows, w_mat, out=part)
             part.reshape((e - s) * ho, -1)[...] += bias_row
             max_pool(part.reshape(e - s, ho, wo, f), q, out[s:e],
                      None if offsets is None else offsets[s:e])
         if train:
-            # One slice keeps its columns, with a stage's ReLU mask beside
-            # them, and backward needs only the input's shape and dtype
-            # besides; any other count keeps what backward refills each
+            # One slice keeps its columns, off which backward also reads a
+            # stage's ReLU mask, so of its source it keeps only a stage's
+            # BatchNorm; any other count keeps what backward refills each
             # slice from: the caller's input, or a stage's BatchNorm.
-            if len(slices) != 1:
-                self._cache = (shape, in_dtype, src, None, offsets)
+            if n == b > 0:
+                src = src if isinstance(src, BatchNorm) else None
             else:
-                mask = xs[:, p : p + ho, p : p + wo] > 0 if isinstance(src, BatchNorm) else None
-                self._cache = (shape, in_dtype, None, (rows, mask), offsets)
+                rows = None
+            self._cache = (shape, in_dtype, src, rows, offsets)
         return out
 
     def backward(self, grad):
@@ -334,10 +331,9 @@ class Conv2d(Layer):
         q, p = self.pool_size, self.pad
         b, ho, wo, _ = shape
         if kept is None:
-            slices, buf, cols = self._slices(shape, in_dtype)
-            n, mask = len(buf), None
+            n, lowered = self._lowered(src, shape, in_dtype)
         else:
-            (rows, mask), slices, n = kept, [(0, b)], b
+            n, lowered = b, [(0, b, kept)]
         # Each slice's output gradient is unpooled into g_buf, and its input
         # gradient summed in a zeroed padded slice, whose interior is written
         # into dx.
@@ -345,16 +341,9 @@ class Conv2d(Layer):
         acc = np.zeros((n, ho + 2 * p, wo + 2 * p, c), dtype=grad.dtype)
         interior = (slice(None), slice(p, p + ho), slice(p, p + wo))
         dx = np.empty(shape, dtype=grad.dtype)
-        for s, e in slices:
+        for s, e, rows in lowered:
             g = g_buf[: (e - s) * ho * wo]
             max_unpool(offsets[s:e], grad[s:e], q, g.reshape(e - s, ho, wo, f))
-            if kept is None:
-                xs = self._padded(src, buf, s, e)
-                rows = self._columns(xs, kh, kw, cols)
-                if isinstance(src, BatchNorm):
-                    # The stage's ReLU mask: max(y, 0) > 0 exactly where
-                    # y > 0, NaN included, so a refilled slice gives it.
-                    mask = xs[interior] > 0
             # Weight gradient as rows.T @ g on the general column layout and
             # g.T @ rows on the transposed one-channel one: both give the bits
             # of g.T @ rows on the general layout at desk (k=3) and paper (k=5)
@@ -382,10 +371,15 @@ class Conv2d(Layer):
                 for j in range(kw):
                     d[:, i : i + ho, j : j + wo, :] += (
                         (g @ w[:, :, i, j]).reshape(e - s, ho, wo, c))
-            if mask is None:
+            if isinstance(src, BatchNorm):
+                # The stage's ReLU gradient, grad * (xhat * gamma + beta > 0).
+                # The columns of the center kernel offset (p, p) hold the
+                # slice's ReLU'd input in either layout, and max(y, 0) > 0
+                # exactly where y > 0, NaN included.
+                mask = rows[:, (p * kw + p) * c : (p * kw + p + 1) * c] > 0
+                np.multiply(d[interior], mask.reshape(e - s, ho, wo, c), out=dx[s:e])
+            else:
                 dx[s:e] = d[interior]
-            else:  # the stage's ReLU gradient, grad * (xhat * gamma + beta > 0)
-                np.multiply(d[interior], mask, out=dx[s:e])
         return dx
 
     def params(self):
@@ -612,9 +606,10 @@ class Network:
     channels-last view, which costs nothing for the single-channel log-mel
     patches. Inference runs each layer's forward in turn. Training runs each
     BatchNorm, ReLU, Conv2d in a row as one stage (``BatchNorm.normalize``,
-    then ``Conv2d.stage_forward``; backward through the conv, then the
-    BatchNorm) with the bits of the three layers' own passes, and any other
-    layer through its forward and backward.
+    then ``Conv2d.stage_forward``; backward through the conv, which applies
+    the ReLU's mask read off its columns, then the BatchNorm) with the bits
+    of the three layers' own passes, and any other layer through its
+    forward and backward.
     """
 
     def __init__(self, layers: list[Layer]):
@@ -691,6 +686,16 @@ def im2col_bytes(layers: list[Layer], height: int, width: int, itemsize: int) ->
     return peak
 
 
+def pooled_size(n_mels: int, patch_frames: int, stages: int) -> tuple[int, int]:
+    """The height and width that ``stages`` pooling stages of size 2 leave
+    of an n_mels x patch_frames input; a ConfigError if none is left."""
+    h, w = n_mels // 2**stages, patch_frames // 2**stages
+    if h < 1 or w < 1:
+        raise ConfigError(f"input {n_mels}x{patch_frames} too small for {stages} "
+                          "pooling stages of size 2")
+    return h, w
+
+
 def build_baseline(
     n_mels: int,
     patch_frames: int,
@@ -709,14 +714,7 @@ def build_baseline(
     """
     if n_mels < 1 or patch_frames < 1 or n_classes < 2:
         raise ConfigError("n_mels, patch_frames must be >= 1 and n_classes >= 2")
-    h, w = n_mels, patch_frames
-    for _ in channels:
-        h, w = h // 2, w // 2
-        if h < 1 or w < 1:
-            raise ConfigError(
-                f"input {n_mels}x{patch_frames} too small for {len(channels)} "
-                "pooling stages of size 2"
-            )
+    h, w = pooled_size(n_mels, patch_frames, len(channels))
     rng = np.random.default_rng(seed)
     layers: list[Layer] = []
     in_ch = 1

@@ -484,23 +484,25 @@ def read_report_csv(path: str | Path) -> dict:
     are missing."""
     out = {"accuracies": [], "mean": None, "ci95_halfwidth": None}
     try:
-        fh = Path(path).open(newline="", encoding="utf-8")
+        with Path(path).open(newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            rows = [(reader.line_num, row) for row in reader]
     except FileNotFoundError:
         raise DataError(f"{path}: no such report") from None
-    with fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            kind = row.get("kind")
-            if kind not in ("run", "mean", "ci95_halfwidth"):
-                raise DataError(f"{path}: line {reader.line_num} has unknown kind {kind!r}")
-            try:
-                value = float(row.get("accuracy"))
-            except (TypeError, ValueError):
-                raise DataError(f"{path}: line {reader.line_num} has no accuracy number") from None
-            if kind == "run":
-                out["accuracies"].append(value)
-            else:
-                out[kind] = value
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: unreadable report ({exc})") from None
+    for line, row in rows:
+        kind = row.get("kind")
+        if kind not in ("run", "mean", "ci95_halfwidth"):
+            raise DataError(f"{path}: line {line} has unknown kind {kind!r}")
+        try:
+            value = float(row.get("accuracy"))
+        except (TypeError, ValueError):
+            raise DataError(f"{path}: line {line} has no accuracy number") from None
+        if kind == "run":
+            out["accuracies"].append(value)
+        else:
+            out[kind] = value
     missing = [kind for kind in ("mean", "ci95_halfwidth") if out[kind] is None]
     if missing:
         raise DataError(f"{path}: no {' or '.join(missing)} row; the report is truncated")

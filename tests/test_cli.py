@@ -232,22 +232,45 @@ class TestParsing:
         assert "--seed: seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_importing_the_cli_loads_no_jsonschema(self):
+    @pytest.mark.parametrize("command", ["features", "run"])
+    def test_too_many_pooling_stages_is_a_config_error_at_load(self, tmp_path, capsys,
+                                                               monkeypatch, command):
+        # 16 mels pooled 5 times leave no row: an error before any data is
+        # generated or cached, naming the key.
+        path, cfg = base_config(tmp_path)
+        cfg["train"]["channels"] = [2, 3, 4, 5, 6]
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        calls = []
+        monkeypatch.setattr(cli, "gen_synthetic_dataset", lambda **kw: calls.append(kw))
+        assert main([command, "--config", str(path)]) == 1
+        assert ("config invalid at train/channels: input 16x62 too small for 5 pooling "
+                "stages of size 2") in capsys.readouterr().err
+        assert calls == [] and not (tmp_path / "out").exists()
+
+    def test_importing_noisebench_loads_numpy_alone_beyond_the_standard_library(self):
+        # The runtime needs numpy only. scipy.stats alone cost about 70 MB of
+        # RSS and over a second of start-up in every process that imported
+        # noisebench; jsonschema loaded some 60 more modules into the CLI.
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = "import sys, noisebench.cli; print('jsonschema' in sys.modules)"
+        code = ("import sys\n"
+                "def top(): return {m.partition('.')[0] for m in sys.modules}\n"
+                "before = top()\n"
+                "import noisebench, noisebench.cli\n"
+                "print(*sorted(top() - before - set(sys.stdlib_module_names)))")
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, check=True, timeout=120)
-        assert done.stdout.strip() == "False"
+        assert set(done.stdout.split()) <= {"noisebench", "numpy", "__mp_main__"}
 
 
 DROP = object()  # a mutation value that deletes the key
 
 # Every key of the config document: its path, its JSON kind, values just
 # inside its range and values just outside it. Against the base document
-# above: sample_rate 2000, fft_size 128, hop 64; with the
-# changes _BASES lists for the key, if any.
+# above: sample_rate 2000, fft_size 128, hop 64, 16 mels and three pooling
+# stages, which need 8 x 8 patches; with the changes _BASES lists for the
+# key, if any.
 _FIELDS = [
     (("dataset", "manifest"), "string", [], ["m.csv"]),  # synthetic is already there
     (("dataset", "audio_root"), "string", ["audio"], []),
@@ -258,11 +281,11 @@ _FIELDS = [
     (("dataset", "synthetic", "seed"), "integer", [0], [-1]),
     (("dataset", "synthetic", "test_per_class"), "integer", [1], [0]),
     (("dataset", "synthetic", "snr_db"), "number", [-2.0, 0, 40], []),
-    (("features", "sample_rate"), "integer", [17], [0, 1, 16]),  # >= 1 frame per 2 s patch
+    (("features", "sample_rate"), "integer", [240], [0, 1, 16]),  # 240 Hz: the 8 frames needed; 16: none
     (("features", "fft_size"), "integer", [64, 129], [63]),
     (("features", "hop"), "integer", [1, 128], [0, 129]),
-    (("features", "n_mels"), "integer", [1], [0]),
-    (("features", "patch_seconds"), "number", [0.02], [0, 0.01]),
+    (("features", "n_mels"), "integer", [8], [0]),
+    (("features", "patch_seconds"), "number", [0.24], [0, 0.01]),
     (("features", "cache_dir"), "string", ["cache"], []),
     *[(("noise", key), "number", [0, 1], [-0.01, 1.01])
       for key in ("p_incorrect_oov", "p_incomplete_oov", "p_incorrect_iv",
@@ -352,6 +375,13 @@ def _corpus():
         for value in (3, "x", [], None):
             add({keys: value}, place, name=f"{place}={json.dumps(value)}")
     add({("bogus",): 1}, "(root)", "bogus")
+    # Values inside a features range that leave the base network's three
+    # pooling stages no room (it needs 8 x 8 patches): the features section
+    # parses, and train/channels is rejected.
+    for key, values in [("sample_rate", [17, 239]), ("n_mels", [1, 7]),
+                        ("patch_seconds", [0.02, 0.23])]:
+        for value in values:
+            add({("features", key): value}, "train/channels", "too small for 3 pooling stages")
     # A removed key is unknown whatever its value, so a config written for
     # the constant-target soft bootstrap variant fails instead of training
     # the full gradient.
@@ -374,7 +404,7 @@ def _corpus():
         ({("features", "fft_size"): 2, ("features", "hop"): 2}, "features", "mel filter 0",
          "fft_size=2"),
         ({("features", "fft_size"): 3, ("features", "hop"): 3, ("features", "n_mels"): 1},
-         None, None, "fft_size=3"),
+         "train/channels", "input 1x", "fft_size=3"),
         ({("features", "fft_size"): 1, ("features", "hop"): 1}, "features", "fft_size",
          "fft_size=1"),
         ({("noise", "p_incorrect_oov"): 0.6, ("noise", "p_incomplete_oov"): 0.4}, None, None,
@@ -488,6 +518,44 @@ class TestRejectionParity:
                             "lq": {"family", "q", "selective"},
                             "mask_max": {"family", "m", "selective"},
                             "mask_stat": {"family", "l", "selective"}}
+
+
+class TestUnreadableFiles:
+    """A file that cannot be opened or decoded is a config error if it is
+    the config, else a data error naming the file; never a traceback."""
+
+    def test_a_config_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"output_dir": "\xff"}')
+        assert main(["run", "--config", str(path)]) == 1
+        assert f"config error: {path}: unreadable config file (" in capsys.readouterr().err
+
+    def test_a_config_that_is_a_directory_is_a_config_error(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path)]) == 1
+        assert f"config error: {tmp_path}: unreadable config file (" in capsys.readouterr().err
+
+    def test_a_manifest_that_is_not_utf8_is_a_data_error(self, tmp_path, capsys):
+        path, cfg = base_config(tmp_path)
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_bytes(b"fname,label,manually_verified,split\n\xff.wav,dog,1,train\n")
+        cfg["dataset"] = {"manifest": str(manifest), "audio_root": str(tmp_path)}
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["features", "--config", str(path)]) == 2
+        assert f"data error: {manifest}: unreadable manifest (" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+    def test_an_unreadable_report_is_a_data_error(self, tmp_path, capsys, kind):
+        path, _ = base_config(tmp_path)
+        out = tmp_path / "out"
+        victim = out / "report_all_cce.csv"
+        if kind == "directory":
+            victim.mkdir(parents=True)
+        else:
+            out.mkdir()
+            victim.write_bytes(b"kind,run,seed,accuracy\r\nrun,0,5,0.5\xff\r\n")
+        assert main(["report", "--config", str(path)]) == 2
+        assert f"data error: {victim}: unreadable report (" in capsys.readouterr().err
+        assert not (out / "summary.csv").exists()
 
 
 class TestHelp:

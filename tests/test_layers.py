@@ -687,8 +687,8 @@ class TestPooledConvBits:
         monkeypatch.setattr(layers, "COLS_BYTES", 2 * im2col_bytes([layer], 7, 9, 8))
         x = np.random.default_rng(23).standard_normal((5, 7, 9, 2))
         out = layer.forward(x, train=True)
-        _, _, cached_x, kept, offsets = layer._cache
-        assert kept is None  # three slices: backward rebuilds the columns
+        _, _, cached_x, rows, offsets = layer._cache
+        assert rows is None  # three slices: backward rebuilds the columns
         assert cached_x is x
         assert out.shape == (5, 3, 4, 3)
         assert offsets.shape == out.shape and offsets.dtype == np.uint8
@@ -1046,13 +1046,13 @@ def stage_input(shape, dtype, seed, nan=False):
     return x, rng.standard_normal((shape[0], 20)).astype(dtype)
 
 
-def small_stage_net(padding, pool_size, dtype):
-    """BatchNorm, ReLU, a 2 -> 3 conv of ``padding`` and ``pool_size`` on
-    7x9 inputs, then a BatchNorm and ReLU that no conv follows, and a dense
-    softmax over 20 classes. The first BatchNorm's gamma and beta are
-    random, so its ReLU cuts at other points than zero."""
+def small_stage_net(padding, pool_size, dtype, kernel_size=3):
+    """BatchNorm, ReLU, a 2 -> 3 conv of ``padding``, ``pool_size`` and
+    ``kernel_size`` on 7x9 inputs, then a BatchNorm and ReLU that no conv
+    follows, and a dense softmax over 20 classes. The first BatchNorm's
+    gamma and beta are random, so its ReLU cuts at other points than zero."""
     rng = np.random.default_rng(41)
-    conv = Conv2d(2, 3, 3, padding, rng, dtype, name="conv1", pool_size=pool_size)
+    conv = Conv2d(2, 3, kernel_size, padding, rng, dtype, name="conv1", pool_size=pool_size)
     bn = BatchNorm(2, dtype=dtype, name="bn1")
     bn.gamma.value[...] = rng.standard_normal(2)
     bn.beta.value[...] = rng.standard_normal(2)
@@ -1092,15 +1092,18 @@ class TestStageBits:
 
         assert_stage_bits(make, *stage_input((13, 1, 24, 50), dtype, 13, nan=True), adam=False)
 
+    # Kernel 5 runs a one-slice stage conv of C > 1 channels at the paper's
+    # kernel, whose backward reads the ReLU mask off other columns than 3's.
     @pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
     @pytest.mark.parametrize("per_slice", [None, 2], ids=["one-slice", "slices"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("padding,pool_size", [("same", 2), ("same", 1)],
-                             ids=["pooled", "unpooled"])
-    def test_pooled_and_unpooled_convs(self, monkeypatch, padding, pool_size, dtype, per_slice,
-                                       nan):
+    @pytest.mark.parametrize("padding,pool_size,kernel_size",
+                             [("same", 2, 3), ("same", 1, 3), ("same", 2, 5), ("same", 1, 5)],
+                             ids=["pooled", "unpooled", "pooled-k5", "unpooled-k5"])
+    def test_pooled_and_unpooled_convs(self, monkeypatch, padding, pool_size, kernel_size, dtype,
+                                       per_slice, nan):
         def make():
-            return small_stage_net(padding, pool_size, dtype)
+            return small_stage_net(padding, pool_size, dtype, kernel_size)
 
         if per_slice:
             per_sample = im2col_bytes(make().layers, 7, 9, np.dtype(dtype).itemsize)
@@ -1117,12 +1120,17 @@ class TestStageBits:
         net = small_stage_net("same", 2, np.float64)
         bn, _, conv = net.layers[:3]
         x, _ = stage_input((5, 2, 7, 9), np.float64, 5)
+        net.forward(x, train=True)
+        # One slice keeps its columns, which hold the stage's ReLU mask too.
+        shape, _, src, rows, _ = conv._cache
+        assert src is bn and rows.shape == (5 * 7 * 9, 3 * 3 * 2)
+        assert not any(isinstance(a, np.ndarray) and a.dtype == bool for a in conv._cache)
         monkeypatch.setattr(layers, "COLS_BYTES",
                             2 * im2col_bytes(net.layers, 7, 9, 8))
         net.forward(x, train=True)
         assert net.layers[1]._cache is None  # the ReLU
-        shape, _, src, kept, _ = conv._cache
-        assert src is bn and kept is None and shape == (5, 7, 9, 2)
+        shape, _, src, rows, _ = conv._cache
+        assert src is bn and rows is None and shape == (5, 7, 9, 2)
         assert not any(isinstance(a, np.ndarray) and a.shape == shape for a in conv._cache)
 
     def test_a_second_backward_has_no_cache(self):

@@ -1,11 +1,7 @@
 """Validation split, standardization, clip aggregation, training loop,
 and the multi-seed experiment report."""
 
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -714,18 +710,6 @@ class TestStudentTQuantile:
     def test_df_must_be_an_integer(self, df):
         with pytest.raises(ValueError, match="integer df"):
             student_t_quantile(0.975, df)
-
-    def test_importing_the_package_loads_no_scipy(self):
-        # scipy.stats alone costs about 70 MB of RSS and over a second of
-        # start-up in every process that imports noisebench.
-        src = str(Path(noisebench.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = ("import sys, noisebench, noisebench.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, check=True, timeout=120)
-        assert done.stdout.strip() == "[]"
 
 
 @pytest.fixture(scope="module")
