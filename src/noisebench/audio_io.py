@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .fileio import atomic_write
+from .fileio import atomic_write, reading
 
 
 @dataclass
@@ -39,14 +39,10 @@ def read_wav(path: str | Path, clip_id: str | None = None) -> AudioClip:
     Multichannel and non-16-bit files are rejected rather than converted.
     """
     path = Path(path)
-    try:
-        with wave.open(str(path), "rb") as wav:
-            n_channels = wav.getnchannels()
-            samp_width = wav.getsampwidth()
-            sample_rate = wav.getframerate()
-            raw = wav.readframes(wav.getnframes())
-    except (wave.Error, EOFError, OSError) as exc:
-        raise DataError(f"{path}: not a readable WAV file ({exc})") from exc
+    with (reading(path, "WAV file", DataError, wave.Error, EOFError),
+          wave.open(str(path), "rb") as wav):
+        n_channels, samp_width, sample_rate, n_frames = wav.getparams()[:4]
+        raw = wav.readframes(n_frames)
     if n_channels != 1:
         raise DataError(f"{path}: expected mono audio, got {n_channels} channels")
     if samp_width != 2:
@@ -73,11 +69,9 @@ def write_wav(path: str | Path, clip: AudioClip) -> None:
 
 def wav_duration(path: str | Path) -> float:
     """Duration in seconds read from the WAV header only."""
-    try:
-        with wave.open(str(path), "rb") as wav:
-            frames, sample_rate = wav.getnframes(), wav.getframerate()
-    except (wave.Error, EOFError, OSError) as exc:
-        raise DataError(f"{path}: not a readable WAV file ({exc})") from exc
+    with (reading(path, "WAV file", DataError, wave.Error, EOFError),
+          wave.open(str(path), "rb") as wav):
+        frames, sample_rate = wav.getnframes(), wav.getframerate()
     if sample_rate <= 0:
         raise DataError(f"{path}: sample rate {sample_rate} is not positive")
     return frames / sample_rate

@@ -22,6 +22,7 @@ from pathlib import Path
 from .datasets import Subset, check_synthetic, gen_synthetic_dataset
 from .errors import ConfigError
 from .features import FeatureConfig
+from .fileio import reading
 from .layers import pooled_size
 from .losses import LossConfig, LossFamily
 from .noise import NoiseSpec
@@ -45,14 +46,11 @@ class ExperimentConfig:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8-sig"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: unreadable config file ({exc})") from None
+    with reading(path, "config file", ConfigError):
+        try:
+            raw = json.loads(path.read_text(encoding="utf-8-sig"))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return parse_config(raw, base_dir=path.parent)
 
 

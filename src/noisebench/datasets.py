@@ -20,7 +20,7 @@ import numpy as np
 
 from .audio_io import AudioClip, wav_duration
 from .errors import DataError, ManifestError
-from .fileio import atomic_csv_writer
+from .fileio import atomic_csv_writer, reading
 
 
 class Origin(str, enum.Enum):
@@ -83,15 +83,11 @@ def load_manifest(path: str | Path, audio_root: str | Path) -> DatasetManifest:
     error too. Record order follows file order.
     """
     path = Path(path)
-    if not path.exists():
-        raise ManifestError(f"manifest file not found: {path}")
-    try:
-        with path.open(newline="", encoding="utf-8-sig") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
-            rows = list(reader)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ManifestError(f"{path}: unreadable manifest ({exc})") from None
+    with (reading(path, "manifest", ManifestError),
+          path.open(newline="", encoding="utf-8-sig") as fh):
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        rows = list(reader)
     for col in _REQUIRED_COLUMNS:
         if col not in header:
             raise ManifestError(f"{path}: missing required column {col!r}")

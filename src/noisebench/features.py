@@ -22,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import AudioClip
 from .errors import ConfigError, DataError
-from .fileio import atomic_write
+from .fileio import atomic_write, reading
 
 
 @dataclass(frozen=True)
@@ -248,7 +248,7 @@ def load_feature_cache(path: str | Path, clip_id: str | None = None,
     is a DataError; bytes past the claimed body are ignored.
     """
     path = Path(path)
-    with path.open("rb") as fh:
+    with reading(path, "feature cache"), path.open("rb") as fh:
         header = fh.read(_CACHE_HEADER.size)
         if len(header) != _CACHE_HEADER.size:
             raise DataError(f"{path}: truncated feature cache")

@@ -1,12 +1,28 @@
-"""Atomic file replacement for caches, checkpoints and result CSVs."""
+"""Atomic file replacement for caches, checkpoints and CSVs; one rule for unreadable files."""
 
 from __future__ import annotations
 
 import csv
 import io
 import os
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager
 from pathlib import Path
+
+from .errors import DataError
+
+
+class reading(AbstractContextManager):
+    """Turns an OSError, a UnicodeDecodeError or one of ``format_errors``
+    raised in its block into ``error("<path>: unreadable <what> (<reason>)")``.
+    A class, not a generator: it is entered once per cached clip."""
+
+    def __init__(self, path, what: str, error=DataError, *format_errors):
+        self.path, self.what, self.error = path, what, error
+        self.catches = (OSError, UnicodeDecodeError, *format_errors)
+
+    def __exit__(self, exc_type, exc, tb):
+        if isinstance(exc, self.catches):
+            raise self.error(f"{self.path}: unreadable {self.what} ({exc})") from exc
 
 
 @contextmanager

@@ -34,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError
-from .fileio import atomic_write
+from .fileio import atomic_write, reading
 
 
 @dataclass
@@ -781,7 +781,7 @@ def load_checkpoint(path):
     cut short, with bytes after its last array or with a header that does
     not describe layers and extra arrays is a DataError. Legacy ``maxpool``
     entries load as pooled convs (see ``_fold_legacy_pools``)."""
-    with Path(path).open("rb") as fh:
+    with reading(path, "checkpoint"), Path(path).open("rb") as fh:
         magic = fh.read(len(_CKPT_MAGIC))
         if magic != _CKPT_MAGIC:
             if not _CKPT_MAGIC.startswith(magic):

@@ -30,7 +30,7 @@ import numpy as np
 from .audio_io import AudioClip
 from .datasets import DatasetManifest, LabelRecord, Origin, Split
 from .errors import ConfigError, DataError
-from .fileio import atomic_csv_writer
+from .fileio import atomic_csv_writer, reading
 
 
 class NoiseType(str, enum.Enum):
@@ -89,13 +89,14 @@ class ProvenanceEntry:
 @dataclass
 class ProvenanceLog:
     entries: dict[str, ProvenanceEntry] = field(default_factory=dict)
+    _COLUMNS = ("clip_id", "noise_type", "original_label", "source_clip_ids")
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def write_csv(self, path: str | Path) -> None:
         with atomic_csv_writer(path) as writer:
-            writer.writerow(["clip_id", "noise_type", "original_label", "source_clip_ids"])
+            writer.writerow(self._COLUMNS)
             for clip_id, entry in self.entries.items():
                 writer.writerow(
                     [
@@ -108,14 +109,24 @@ class ProvenanceLog:
 
     @classmethod
     def read_csv(cls, path: str | Path) -> "ProvenanceLog":
+        """Read ``write_csv``'s output; a ``DataError`` names the file, and the
+        line of a row without every column, with an unknown noise type or a
+        non-integer original label."""
         log = cls()
-        with Path(path).open(newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                log.entries[row["clip_id"]] = ProvenanceEntry(
-                    NoiseType(row["noise_type"]),
-                    None if row["original_label"] == "" else int(row["original_label"]),
-                    tuple(s for s in row["source_clip_ids"].split(";") if s),
-                )
+        with reading(path, "provenance log"), Path(path).open(newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            for row in reader:
+                where = f"{path}: line {reader.line_num}"
+                missing = [col for col in cls._COLUMNS if row.get(col) is None]
+                if missing:
+                    raise DataError(f"{where} has no {missing[0]} column")
+                try:
+                    noise_type = NoiseType(row["noise_type"])
+                    label = None if row["original_label"] == "" else int(row["original_label"])
+                except ValueError as exc:
+                    raise DataError(f"{where}: {exc}") from None
+                sources = tuple(s for s in row["source_clip_ids"].split(";") if s)
+                log.entries[row["clip_id"]] = ProvenanceEntry(noise_type, label, sources)
         return log
 
 

@@ -29,7 +29,7 @@ from .datasets import (
 )
 from .errors import DataError, NumericError
 from .features import FeatureConfig, LogMelMatrix, extract_logmel, patch_count, patchify
-from .fileio import atomic_csv_writer
+from .fileio import atomic_csv_writer, reading
 from .layers import Network, build_baseline, im2col_bytes, samples_per_slice
 from .losses import LossConfig, one_hot, selective_batch_loss
 from .optim import Adam
@@ -483,14 +483,9 @@ def read_report_csv(path: str | Path) -> dict:
     is missing, a row has an unknown kind or no number, or the summary rows
     are missing."""
     out = {"accuracies": [], "mean": None, "ci95_halfwidth": None}
-    try:
-        with Path(path).open(newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            rows = [(reader.line_num, row) for row in reader]
-    except FileNotFoundError:
-        raise DataError(f"{path}: no such report") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: unreadable report ({exc})") from None
+    with reading(path, "report"), Path(path).open(newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        rows = [(reader.line_num, row) for row in reader]
     for line, row in rows:
         kind = row.get("kind")
         if kind not in ("run", "mean", "ci95_halfwidth"):

@@ -339,7 +339,7 @@ def _trend_dataset():
     noisy_clips, noisy_manifest, _ = corrupt_noisy_train(
         clips, manifest, NoiseSpec(p_incorrect_iv=0.40, seed=99), pool
     )
-    return clips, manifest, noisy_clips, noisy_manifest
+    return clips, manifest, noisy_clips, noisy_manifest, pool
 
 
 def test_criterion_6_dataset_is_a_config(tmp_path):
@@ -365,7 +365,7 @@ def test_criterion_6_dataset_is_a_config(tmp_path):
 
 def test_criterion_6_desk_scale_trend():
     start = time.monotonic()
-    clips, manifest, noisy_clips, noisy_manifest = _trend_dataset()
+    clips, manifest, noisy_clips, noisy_manifest, _ = _trend_dataset()
     feats_clean = precompute_features(clips, TREND_FEATURES)
     feats_noisy = precompute_features(noisy_clips, TREND_FEATURES)
 

@@ -13,14 +13,17 @@ import numpy as np
 import pytest
 
 from noisebench import cli
-from noisebench.audio_io import AudioClip, read_wav, write_wav
+from noisebench.audio_io import AudioClip, read_wav, wav_duration, write_wav
 from noisebench.cli import main
 from noisebench.config import experiment_cells, load_config, parse_config
-from noisebench.datasets import Origin, Split, Subset, gen_synthetic_dataset
-from noisebench.errors import ConfigError
+from noisebench.datasets import Origin, Split, Subset, gen_synthetic_dataset, load_manifest
+from noisebench.errors import ConfigError, DataError, ManifestError
 from noisebench.features import (FeatureConfig, extract_logmel, feature_cache_path,
                                  load_feature_cache)
+from noisebench.layers import load_checkpoint
 from noisebench.losses import LossConfig, LossFamily
+from noisebench.noise import ProvenanceLog
+from noisebench.training import read_report_csv
 
 
 def base_config(tmp_path, **overrides):
@@ -556,6 +559,43 @@ class TestUnreadableFiles:
         assert main(["report", "--config", str(path)]) == 2
         assert f"data error: {victim}: unreadable report (" in capsys.readouterr().err
         assert not (out / "summary.csv").exists()
+
+    def test_run_with_a_directory_for_a_feature_cache_is_a_data_error(self, tmp_path, capsys):
+        path, cfg = base_config(tmp_path)
+        clip = gen_synthetic_dataset(**cfg["dataset"]["synthetic"])[0][0]
+        victim = feature_cache_path(tmp_path / "out" / "features", clip,
+                                    FeatureConfig(**cfg["features"]))
+        victim.mkdir(parents=True)
+        assert main(["run", "--config", str(path)]) == 2
+        assert f"data error: {victim}: unreadable feature cache (" in capsys.readouterr().err
+
+    # Each reader, the error it raises and what it calls its file.
+    READERS = {
+        "config": (load_config, ConfigError, "config file"),
+        "manifest": (lambda p: load_manifest(p, p.parent), ManifestError, "manifest"),
+        "report": (read_report_csv, DataError, "report"),
+        "provenance": (ProvenanceLog.read_csv, DataError, "provenance log"),
+        "read_wav": (read_wav, DataError, "WAV file"),
+        "wav_duration": (wav_duration, DataError, "WAV file"),
+        "feature_cache": (load_feature_cache, DataError, "feature cache"),
+        "checkpoint": (load_checkpoint, DataError, "checkpoint"),
+    }
+
+    @pytest.mark.parametrize("reader,kind", [
+        *[(reader, kind) for reader in READERS for kind in ("directory", "missing")],
+        *[(reader, "not-utf8") for reader in ("config", "manifest", "report", "provenance")],
+    ])
+    def test_every_reader_names_a_file_it_cannot_read(self, tmp_path, reader, kind):
+        read, error, what = self.READERS[reader]
+        path = tmp_path / "victim"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"clip_id,kind\r\n\xff,run\r\n")
+        with pytest.raises(error) as exc:
+            read(path)
+        assert type(exc.value) is error
+        assert str(exc.value).startswith(f"{path}: unreadable {what} (")
 
 
 class TestHelp:

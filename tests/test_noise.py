@@ -231,3 +231,20 @@ class TestProvenanceCsv:
         log.write_csv(tmp_path / "prov.csv")
         loaded = ProvenanceLog.read_csv(tmp_path / "prov.csv")
         assert loaded.entries == log.entries
+
+    @pytest.mark.parametrize("text,problem", [
+        ("clip_id,noise_type,original_label\r\na,correct,0\r\n",
+         "line 2 has no source_clip_ids column"),
+        ("clip_id,noise_type,original_label,source_clip_ids\r\na,correct\r\n",
+         "line 2 has no original_label column"),
+        ("clip_id,noise_type,original_label,source_clip_ids\r\na,correct,0,\r\nb,bogus,1,\r\n",
+         "line 3: 'bogus' is not a valid NoiseType"),
+        ("clip_id,noise_type,original_label,source_clip_ids\r\na,correct,one,\r\n",
+         "line 2: invalid literal for int()"),
+    ])
+    def test_a_bad_row_is_a_data_error_naming_file_and_line(self, tmp_path, text, problem):
+        path = tmp_path / "prov.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with pytest.raises(DataError) as exc:
+            ProvenanceLog.read_csv(path)
+        assert str(exc.value).startswith(f"{path}: {problem}")
